@@ -1,8 +1,8 @@
 // Command benchreport runs the repo's named performance-scenario
-// suite (card pricing sequential vs parallel, solver strategies, job
-// store append/recovery) and emits a schema-versioned JSON report —
-// the BENCH_pr<N>.json files that form the repo's committed
-// performance trajectory and gate CI.
+// suite (the card-pricing stream sequential vs sharded, solver
+// strategies, job store append/recovery) and emits a schema-versioned
+// JSON report — the BENCH_pr<N>.json files that form the repo's
+// committed performance trajectory and gate CI.
 //
 // Usage:
 //
@@ -23,8 +23,8 @@
 // generated on a comparable machine (in practice: by CI itself).
 //
 // -require pins a hard bound on a ratio regardless of any baseline:
-// `-require 'pricing_parallel_speedup_n19>=2@4'` asserts the parallel
-// pricing pass is at least twice as fast as sequential, on hosts with
+// `-require 'pricing_parallel_speedup_n19>=2@4'` asserts the sharded
+// pricing stream is at least twice as fast as sequential, on hosts with
 // at least 4 schedulable cores (the @PROCS guard skips the check on
 // smaller machines, where the speedup cannot exist); `-require
 // 'beam_n30_gap<=0.05'` caps a quality ratio — the certified

@@ -7,15 +7,15 @@
 // Subcommands:
 //
 //	recommend   submit a recommendation request (-topology file.json or
-//	            -casestudy; -strategy picks the solver, -pricing the
-//	            card-pricing mode; -budget/-max-evaluations cap an
-//	            anytime search, -beam-width/-max-discrepancies/-epsilon
-//	            tune one; -local -format text|markdown|csv runs the
-//	            brokerage in-process)
+//	            -casestudy; -strategy picks the solver;
+//	            -budget/-max-evaluations cap an anytime search,
+//	            -beam-width/-max-discrepancies/-epsilon tune one;
+//	            -local -format text|markdown|csv runs the brokerage
+//	            in-process)
 //	pareto      print the cost × uptime frontier for a request
 //	job         async brokerage over /v2/jobs:
 //	              job submit -kind recommend|pareto (-topology|-casestudy)
-//	                         [-strategy S] [-pricing M] [-budget D]
+//	                         [-strategy S] [-budget D]
 //	                         [-beam-width N] [-epsilon E] [-wait] [-quiet]
 //	              job status JOB-ID
 //	              job wait   [-quiet] JOB-ID   (streams evaluated/space_size
@@ -113,9 +113,8 @@ func run(args []string) error {
 }
 
 // loadRequest resolves the request from -casestudy / -topology flags;
-// a non-empty strategy or pricing mode overrides whatever the
-// topology file carries.
-func loadRequest(topologyPath string, caseStudy bool, strategy, pricing string) (httpapi.RecommendationRequest, error) {
+// a non-empty strategy overrides whatever the topology file carries.
+func loadRequest(topologyPath string, caseStudy bool, strategy string) (httpapi.RecommendationRequest, error) {
 	var req httpapi.RecommendationRequest
 	switch {
 	case caseStudy:
@@ -134,18 +133,11 @@ func loadRequest(topologyPath string, caseStudy bool, strategy, pricing string) 
 	if strategy != "" {
 		req.Strategy = strategy
 	}
-	if pricing != "" {
-		req.Pricing = pricing
-	}
 	return req, nil
 }
 
-// strategyUsage and pricingUsage document the flags shared by the
-// request subcommands.
-const (
-	strategyUsage = "solver strategy: auto (default), the exact exhaustive, pruned, branch-and-bound or parallel-pruned, or the anytime beam, lds or bounded"
-	pricingUsage  = "card-pricing mode: auto (server default), parallel or sequential"
-)
+// strategyUsage documents the flag shared by the request subcommands.
+const strategyUsage = "solver strategy: auto (default), the exact exhaustive, pruned, branch-and-bound or parallel-pruned, or the anytime beam, lds or bounded"
 
 // solverFlags are the anytime-lane knobs shared by recommend, pareto
 // and job submit. They populate the request's nested solver spec only
@@ -201,7 +193,6 @@ func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) er
 		topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 		caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 		strategy     = fs.String("strategy", "", strategyUsage)
-		pricing      = fs.String("pricing", "", pricingUsage)
 		local        = fs.Bool("local", false, "run the brokerage in-process instead of calling a server")
 		format       = fs.String("format", "text", "output format with -local: text, markdown or csv")
 	)
@@ -209,7 +200,7 @@ func cmdRecommend(ctx context.Context, client *httpapi.Client, args []string) er
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+	req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 	if err != nil {
 		return err
 	}
@@ -255,13 +246,12 @@ func cmdPareto(ctx context.Context, client *httpapi.Client, args []string) error
 		topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 		caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 		strategy     = fs.String("strategy", "", strategyUsage)
-		pricing      = fs.String("pricing", "", pricingUsage)
 	)
 	solver := registerSolverFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+	req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 	if err != nil {
 		return err
 	}
@@ -506,7 +496,6 @@ func cmdJob(ctx context.Context, client *httpapi.Client, args []string) error {
 			topologyPath = fs.String("topology", "", "path to a recommendation request JSON file")
 			caseStudy    = fs.Bool("casestudy", false, "use the paper's built-in case study request")
 			strategy     = fs.String("strategy", "", strategyUsage)
-			pricing      = fs.String("pricing", "", pricingUsage)
 			wait         = fs.Bool("wait", false, "block until the job finishes and print its result")
 			quiet        = fs.Bool("quiet", false, "with -wait: suppress the live progress display")
 		)
@@ -514,7 +503,7 @@ func cmdJob(ctx context.Context, client *httpapi.Client, args []string) error {
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
-		req, err := loadRequest(*topologyPath, *caseStudy, *strategy, *pricing)
+		req, err := loadRequest(*topologyPath, *caseStudy, *strategy)
 		if err != nil {
 			return err
 		}

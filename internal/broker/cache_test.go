@@ -79,12 +79,14 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 		t.Fatal("dropping a real as-is entry should change the key")
 	}
 
-	// The pricing mode never affects results, so it must not affect
-	// the key either.
-	seq := CaseStudy()
-	seq.Pricing = PricingSequential
-	if got := e.cacheKey("recommend", e.normalize(seq)); got != baseKey {
-		t.Fatal("pricing mode changed the cache key")
+	// An empty allowed-techs map restricts nothing, exactly like an
+	// absent one.
+	unrestricted := CaseStudy()
+	unrestricted.AllowedTechs = nil
+	emptyAllowed := CaseStudy()
+	emptyAllowed.AllowedTechs = map[string][]string{}
+	if e.cacheKey("recommend", e.normalize(unrestricted)) != e.cacheKey("recommend", e.normalize(emptyAllowed)) {
+		t.Fatal("empty allowed-techs map should hash like an absent one")
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 // consults the catalog — so it is cheap enough to run before a cache
 // lookup:
 //
+//   - an empty AllowedTechs map becomes nil: both restrict nothing,
 //   - AllowedTechs lists are sorted and deduplicated (matching the
 //     sorted order TechnologiesForLayer uses for unrestricted
 //     components, so variant order — and with it option numbering —
@@ -34,13 +35,10 @@ import (
 //     "auto", and written back to BOTH fields — downstream code and
 //     the cache key see a single spelling no matter which alias the
 //     caller used.
-//
-// The pricing mode is deliberately NOT canonicalized into the key
-// material: every mode produces byte-identical results, so requests
-// differing only in pricing share one cache entry (cacheKey skips the
-// field entirely).
 func (e *Engine) normalize(req Request) Request {
-	if len(req.AllowedTechs) > 0 {
+	if len(req.AllowedTechs) == 0 {
+		req.AllowedTechs = nil
+	} else {
 		at := make(map[string][]string, len(req.AllowedTechs))
 		for name, ids := range req.AllowedTechs {
 			sorted := append([]string(nil), ids...)

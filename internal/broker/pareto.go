@@ -2,6 +2,7 @@ package broker
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -143,7 +144,7 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 			return nil
 		}
 	}
-	if e.parallelPricingFor(req, c.problem.SpaceSize()) {
+	if autoParallelPricing(runtime.GOMAXPROCS(0), c.problem.SpaceSize()) {
 		err = c.problem.ParallelStreamContext(ctx, 0, fork)
 	} else {
 		err = c.problem.StreamContext(ctx, fork())

@@ -1,8 +1,10 @@
 package broker
 
 import (
+	"bytes"
 	"context"
-	"strings"
+	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,106 +13,45 @@ import (
 	"uptimebroker/internal/optimize"
 )
 
-// TestParallelPricingMatchesSequential pins the tentpole guarantee at
-// the brokerage layer: parallel and sequential pricing produce
-// byte-identical recommendations — same cards in the same
-// presentation order, same option numbers, same savings.
+// TestParallelPricingMatchesSequential pins byte-identical results on
+// both sides of the auto pricing decision: the same request on a
+// cache-less engine under GOMAXPROCS(1), where auto prices on one
+// core, and GOMAXPROCS(4), where it shards, yields the same Recommend
+// and Pareto JSON — same cards in the same presentation order, same
+// option numbers, same summary and search statistics.
 func TestParallelPricingMatchesSequential(t *testing.T) {
 	e := newTestEngine(t)
-
-	seqReq := CaseStudy()
-	seqReq.Pricing = PricingSequential
-	seq, err := e.Recommend(context.Background(), seqReq)
-	if err != nil {
-		t.Fatalf("sequential Recommend: %v", err)
+	req := wideRequest(12) // 2^12 candidates: k = 2 over 12 components
+	if autoParallelPricing(1, 1<<12) || !autoParallelPricing(4, 1<<12) {
+		t.Fatal("wideRequest(12) no longer straddles the auto pricing decision")
 	}
 
-	parReq := CaseStudy()
-	parReq.Pricing = PricingParallel
-	par, err := e.Recommend(context.Background(), parReq)
-	if err != nil {
-		t.Fatalf("parallel Recommend: %v", err)
-	}
-
-	if len(par.Cards) != len(seq.Cards) {
-		t.Fatalf("parallel %d cards, sequential %d", len(par.Cards), len(seq.Cards))
-	}
-	for i := range seq.Cards {
-		sc, pc := seq.Cards[i], par.Cards[i]
-		if sc.Option != pc.Option || sc.Label() != pc.Label() || sc.HACost != pc.HACost ||
-			sc.Uptime != pc.Uptime || sc.Penalty != pc.Penalty || sc.TCO != pc.TCO || sc.MeetsSLA != pc.MeetsSLA {
-			t.Fatalf("card %d diverges:\n  sequential %+v\n  parallel   %+v", i, sc, pc)
+	results := func(procs int) (rec, front []byte) {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, err := e.Recommend(context.Background(), req)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS(%d) Recommend: %v", procs, err)
 		}
-	}
-	if par.BestOption != seq.BestOption || par.MinRiskOption != seq.MinRiskOption ||
-		par.AsIsOption != seq.AsIsOption || par.SavingsFraction != seq.SavingsFraction {
-		t.Fatalf("summary diverges: sequential %+v, parallel %+v", seq, par)
-	}
-}
-
-func TestPricingModeValidation(t *testing.T) {
-	for _, mode := range []string{"", PricingAuto, PricingParallel, PricingSequential} {
-		if !ValidPricing(mode) {
-			t.Fatalf("ValidPricing(%q) = false", mode)
+		f, err := e.Pareto(context.Background(), req)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS(%d) Pareto: %v", procs, err)
 		}
+		if rec, err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+		if front, err = json.Marshal(f); err != nil {
+			t.Fatal(err)
+		}
+		return rec, front
 	}
-	if ValidPricing("warp") {
-		t.Fatal("unknown pricing mode should be invalid")
+	seqRec, seqFront := results(1)
+	parRec, parFront := results(4)
+	if !bytes.Equal(seqRec, parRec) {
+		t.Fatalf("Recommend JSON diverges: %d bytes sequential, %d parallel", len(seqRec), len(parRec))
 	}
-
-	e := newTestEngine(t)
-	req := CaseStudy()
-	req.Pricing = "warp"
-	if _, err := e.Recommend(context.Background(), req); err == nil || !strings.Contains(err.Error(), "pricing") {
-		t.Fatalf("Recommend with unknown pricing = %v, want pricing-mode error", err)
-	}
-}
-
-// TestEnginePricingDefaults covers the WithPricing/WithParallelPricing
-// options and the per-request override in both directions. The
-// engine's built-in default is auto, which resolves from the host
-// shape and the space size — pinned separately in
-// TestAutoParallelPricing, since the test host's core count is not
-// ours to choose.
-func TestEnginePricingDefaults(t *testing.T) {
-	cat := catalog.Default()
-	const space = 1 << 20
-
-	e, err := New(cat, CatalogParams{Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.pricing != PricingAuto {
-		t.Fatalf("engine default pricing = %q, want auto", e.pricing)
-	}
-	if e.parallelPricingFor(Request{Pricing: PricingSequential}, space) {
-		t.Fatal("request sequential should override the engine default")
-	}
-	if !e.parallelPricingFor(Request{Pricing: PricingParallel}, 1) {
-		t.Fatal("request parallel should override the engine default")
-	}
-
-	par, err := New(cat, CatalogParams{Catalog: cat}, WithParallelPricing(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.parallelPricingFor(Request{}, 1) {
-		t.Fatal("WithParallelPricing(true) should force parallel regardless of space")
-	}
-
-	seq, err := New(cat, CatalogParams{Catalog: cat}, WithPricing(PricingSequential))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.parallelPricingFor(Request{}, space) {
-		t.Fatal("WithPricing(sequential) should turn the default off")
-	}
-	if !seq.parallelPricingFor(Request{Pricing: PricingParallel}, space) {
-		t.Fatal("request parallel should override the engine default")
-	}
-
-	if _, err := New(cat, CatalogParams{Catalog: cat}, WithPricing("warp")); err == nil {
-		t.Fatal("New should reject an unknown engine pricing mode")
+	if !bytes.Equal(seqFront, parFront) {
+		t.Fatalf("Pareto diverges:\n  sequential %s\n  parallel   %s", seqFront, parFront)
 	}
 }
 

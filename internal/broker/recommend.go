@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -366,7 +367,7 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 		}
 	}
 	runPricing := func(pctx context.Context) error {
-		if e.parallelPricingFor(req, space) {
+		if autoParallelPricing(runtime.GOMAXPROCS(0), space) {
 			return c.problem.ParallelStreamContext(pctx, 0, fork)
 		}
 		return c.problem.StreamContext(pctx, fork())

@@ -31,24 +31,20 @@ func TestParetoMatchesParetoCards(t *testing.T) {
 		}
 		want := ParetoCards(rec.Cards)
 
-		for _, pricing := range []string{PricingSequential, PricingParallel} {
-			r := req
-			r.Pricing = pricing
-			got, err := e.Pareto(context.Background(), r)
-			if err != nil {
-				t.Fatalf("req %d (%s): Pareto: %v", i, pricing, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("req %d (%s): frontier has %d cards, want %d", i, pricing, len(got), len(want))
-			}
-			for j := range want {
-				g, w := got[j], want[j]
-				if g.Option != w.Option || g.Label() != w.Label() || g.HACost != w.HACost ||
-					g.Uptime != w.Uptime || g.Penalty != w.Penalty || g.TCO != w.TCO ||
-					g.SlippageHours != w.SlippageHours || g.MeetsSLA != w.MeetsSLA {
-					t.Fatalf("req %d (%s): frontier card %d diverges:\n  streaming %+v\n  reference %+v",
-						i, pricing, j, g, w)
-				}
+		got, err := e.Pareto(context.Background(), req)
+		if err != nil {
+			t.Fatalf("req %d: Pareto: %v", i, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("req %d: frontier has %d cards, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			g, w := got[j], want[j]
+			if g.Option != w.Option || g.Label() != w.Label() || g.HACost != w.HACost ||
+				g.Uptime != w.Uptime || g.Penalty != w.Penalty || g.TCO != w.TCO ||
+				g.SlippageHours != w.SlippageHours || g.MeetsSLA != w.MeetsSLA {
+				t.Fatalf("req %d: frontier card %d diverges:\n  streaming %+v\n  reference %+v",
+					i, j, g, w)
 			}
 		}
 	}
@@ -126,7 +122,6 @@ func TestParetoRejectsInexpressibleAsIs(t *testing.T) {
 func TestParetoProgressSinglePass(t *testing.T) {
 	e := newTestEngine(t)
 	req := CaseStudy()
-	req.Pricing = PricingSequential
 
 	var evals, spaces []int64
 	ctx := WithSearchProgress(context.Background(), func(evaluated, spaceSize int64) {

@@ -64,7 +64,6 @@ type Client struct {
 	backoff  time.Duration
 	pollBase time.Duration
 	solver   *SolverConfigDTO
-	pricing  string
 }
 
 // ClientOption customizes NewClient.
@@ -150,18 +149,9 @@ func WithStrategy(strategy string) ClientOption {
 	}
 }
 
-// WithPricing sets a default card-pricing mode ("parallel",
-// "sequential" or "auto") stamped onto every outgoing
-// recommendation-type request that does not set one itself. A
-// per-request Pricing field always wins; the server default remains
-// auto (parallel only when the host shape pays for it).
-func WithPricing(mode string) ClientOption {
-	return func(c *Client) { c.pricing = mode }
-}
-
-// withDefaults returns req with the client's default solver spec and
-// pricing mode applied where the request leaves the choice open. The
-// solver default applies wholesale or not at all: a request that names
+// withDefaults returns req with the client's default solver spec
+// applied where the request leaves the choice open. The default
+// applies wholesale or not at all: a request that names
 // a flat strategy or carries any nested spec already made its choice,
 // and half-merging a client budget under it would change semantics the
 // caller spelled out.
@@ -169,9 +159,6 @@ func (c *Client) withDefaults(req RecommendationRequest) RecommendationRequest {
 	if req.Strategy == "" && req.Solver == nil && c.solver != nil {
 		cfg := *c.solver
 		req.Solver = &cfg
-	}
-	if req.Pricing == "" {
-		req.Pricing = c.pricing
 	}
 	return req
 }

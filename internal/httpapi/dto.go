@@ -57,13 +57,26 @@ type RecommendationRequest struct {
 	// approximate run into an unbounded one.
 	Solver *SolverConfigDTO `json:"solver,omitempty"`
 
-	// Pricing optionally selects how the full card-pricing pass
-	// enumerates the k^n options: "parallel" (shard across the
-	// server's cores), "sequential", or "auto" (the default: parallel
-	// only when the host has the cores and the space the size to pay
-	// for it). Every mode produces byte-identical cards; the choice
-	// only moves latency.
+	// Pricing is a deprecated hint that is accepted and has no effect:
+	// the server alone decides whether to shard the card-pricing pass,
+	// from its core count and the size of the space, and every choice
+	// prices byte-identical cards. It stays on the wire so older
+	// clients and journaled job payloads keep working; "auto",
+	// "parallel" and "sequential" are accepted, and any other value is
+	// still rejected (see validatePricing).
 	Pricing string `json:"pricing,omitempty"`
+}
+
+// validatePricing rejects a "pricing" hint no release ever accepted.
+// The field selects nothing, but it is outside input, so a misspelled
+// value is reported rather than silently ignored.
+func (r RecommendationRequest) validatePricing() error {
+	switch r.Pricing {
+	case "", "auto", "parallel", "sequential":
+		return nil
+	}
+	return fmt.Errorf("unknown pricing mode %q (the deprecated field accepts \"auto\", \"parallel\" or \"sequential\" and has no effect; leave it out)",
+		r.Pricing)
 }
 
 // ToBroker converts the wire request to the domain request.
@@ -76,7 +89,6 @@ func (r RecommendationRequest) ToBroker() broker.Request {
 		},
 		AllowedTechs: r.AllowedTechs,
 		Strategy:     r.Strategy,
-		Pricing:      r.Pricing,
 	}
 	if r.Solver != nil {
 		req.Solver = r.Solver.ToOptimize()

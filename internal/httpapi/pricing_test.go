@@ -1,114 +1,52 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
-
-	"uptimebroker/internal/broker"
 )
 
-// TestPricingSelectableEndToEnd drives both card-pricing modes
-// through the wire "pricing" field: identical cards and summary
-// either way — pricing is a performance knob, never a correctness
-// one.
+// TestPricingSelectableEndToEnd pins the deprecated wire "pricing"
+// hint as accepted and without effect: every accepted value — and
+// leaving it out — yields byte-identical recommendation and frontier
+// bodies, on the case study and on a wide chain whose 2^12 space sits
+// on the parallel side of the auto pricing decision.
 func TestPricingSelectableEndToEnd(t *testing.T) {
-	_, client, _ := newTestServer(t)
-	ctx := context.Background()
-
-	seqReq := caseStudyWire()
-	seqReq.Pricing = broker.PricingSequential
-	seq, err := client.Recommend(ctx, seqReq)
-	if err != nil {
-		t.Fatalf("Recommend(sequential): %v", err)
-	}
-
-	parReq := caseStudyWire()
-	parReq.Pricing = broker.PricingParallel
-	par, err := client.Recommend(ctx, parReq)
-	if err != nil {
-		t.Fatalf("Recommend(parallel): %v", err)
-	}
-
-	if len(par.Cards) != len(seq.Cards) {
-		t.Fatalf("parallel %d cards, sequential %d", len(par.Cards), len(seq.Cards))
-	}
-	for i := range seq.Cards {
-		if !equalCardDTO(par.Cards[i], seq.Cards[i]) {
-			t.Fatalf("card %d diverges:\n  sequential %+v\n  parallel   %+v", i, seq.Cards[i], par.Cards[i])
+	ts, client, _ := newTestServer(t)
+	for _, base := range []struct {
+		name string
+		req  RecommendationRequest
+	}{{"case study", caseStudyWire()}, {"wide n=12", wideWireRequest(12)}} {
+		for _, path := range []string{"/v2/recommendations", "/v2/pareto"} {
+			var want []byte
+			for _, pricing := range []string{"", "auto", "parallel", "sequential"} {
+				req := base.req
+				req.Pricing = pricing
+				resp := postJSON(t, ts, path, req)
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s pricing=%q: status %d: %s", base.name, path, pricing, resp.StatusCode, body)
+				}
+				if want == nil {
+					want = body
+				} else if !bytes.Equal(body, want) {
+					t.Fatalf("%s %s: pricing=%q body differs from the body without the hint", base.name, path, pricing)
+				}
+			}
 		}
 	}
-	if par.BestOption != seq.BestOption || par.MinRiskOption != seq.MinRiskOption ||
-		par.SavingsPercent != seq.SavingsPercent {
-		t.Fatalf("summary diverges: sequential best=%d, parallel best=%d", seq.BestOption, par.BestOption)
-	}
-}
 
-// equalCardDTO compares the comparable fields of two option cards
-// (Choices is a slice, so the structs are not directly comparable).
-func equalCardDTO(a, b OptionCardDTO) bool {
-	if a.Option != b.Option || a.Label != b.Label || a.HACostUSD != b.HACostUSD ||
-		a.UptimePercent != b.UptimePercent || a.PenaltyUSD != b.PenaltyUSD ||
-		a.TCOUSD != b.TCOUSD || a.MeetsSLA != b.MeetsSLA || len(a.Choices) != len(b.Choices) {
-		return false
-	}
-	for i := range a.Choices {
-		if a.Choices[i] != b.Choices[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestPricingUnknownRejected: a bogus pricing mode is a 422
-// invalid_request on the synchronous surface.
-func TestPricingUnknownRejected(t *testing.T) {
-	_, client, _ := newTestServer(t)
+	// The hint rides journaled job payloads too.
 	req := caseStudyWire()
-	req.Pricing = "warp"
-	_, err := client.Recommend(context.Background(), req)
-	apiErr, ok := err.(*APIError)
-	if !ok {
-		t.Fatalf("err = %v, want *APIError", err)
-	}
-	if apiErr.Status != http.StatusUnprocessableEntity || apiErr.Code != CodeInvalidRequest {
-		t.Fatalf("problem = %d/%s, want 422/%s", apiErr.Status, apiErr.Code, CodeInvalidRequest)
-	}
-	if !strings.Contains(apiErr.Detail, "warp") {
-		t.Fatalf("detail %q does not name the bad pricing mode", apiErr.Detail)
-	}
-}
-
-// TestClientDefaultPricing: WithPricing stamps outgoing requests that
-// leave the choice open, and the request round-trips the job surface
-// (the mode rides in the journaled payload like strategy does).
-func TestClientDefaultPricing(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	client, err := NewClient(ts.URL, ts.Client(), WithPricing(broker.PricingSequential))
-	if err != nil {
-		t.Fatal(err)
-	}
+	req.Pricing = "sequential"
 	ctx := context.Background()
-
-	if _, err := client.Recommend(ctx, caseStudyWire()); err != nil {
-		t.Fatalf("Recommend with client pricing default: %v", err)
-	}
-
-	// An invalid client default surfaces as the server's 422, proving
-	// the stamp actually crosses the wire.
-	bad, err := NewClient(ts.URL, ts.Client(), WithPricing("warp"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = bad.Recommend(ctx, caseStudyWire())
-	apiErr, ok := err.(*APIError)
-	if !ok || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("stamped bad pricing mode not rejected: %v", err)
-	}
-
-	// Job submissions carry it too.
-	job, err := client.SubmitJob(ctx, JobKindRecommend, caseStudyWire())
+	job, err := client.SubmitJob(ctx, JobKindRecommend, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +56,64 @@ func TestClientDefaultPricing(t *testing.T) {
 	}
 	if status.State != "done" {
 		t.Fatalf("job finished as %s (%+v)", status.State, status.Error)
+	}
+}
+
+// TestPricingUnknownRejected: a pricing hint no release accepted is
+// still outside input the server reports, as invalid_request naming
+// the value, on every route that takes a recommendation request — a
+// 422 on the synchronous routes, a failed job, a failed batch item.
+func TestPricingUnknownRejected(t *testing.T) {
+	ts, client, _ := newTestServer(t)
+	ctx := context.Background()
+	req := caseStudyWire()
+	req.Pricing = "warp"
+
+	for _, path := range []string{"/v1/recommendations", "/v1/pareto", "/v2/recommendations", "/v2/pareto"} {
+		resp := postJSON(t, ts, path, req)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		assertProblem(t, resp, http.StatusUnprocessableEntity, CodeInvalidRequest)
+		if !strings.Contains(string(body), "warp") {
+			t.Fatalf("%s: problem %s does not name the bad pricing mode", path, body)
+		}
+	}
+
+	for _, kind := range []string{JobKindRecommend, JobKindPareto} {
+		job, err := client.SubmitJob(ctx, kind, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := client.WaitJob(ctx, job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.State != "failed" || status.Error == nil || status.Error.Code != CodeInvalidRequest ||
+			!strings.Contains(status.Error.Detail, "warp") {
+			t.Fatalf("%s job = %s (%+v), want failed with invalid_request naming warp", kind, status.State, status.Error)
+		}
+	}
+
+	batch, err := client.RecommendBatch(ctx, []RecommendationRequest{caseStudyWire(), req, caseStudyWire()})
+	if err != nil {
+		t.Fatalf("RecommendBatch: %v", err)
+	}
+	if batch.Succeeded != 2 || batch.Failed != 1 {
+		t.Fatalf("succeeded/failed = %d/%d, want 2/1", batch.Succeeded, batch.Failed)
+	}
+	for i, item := range batch.Results {
+		if item.Index != i {
+			t.Fatalf("item %d has index %d", i, item.Index)
+		}
+	}
+	if bad := batch.Results[1]; bad.Error == nil || bad.Error.Code != CodeInvalidRequest ||
+		!strings.Contains(bad.Error.Detail, "warp") || bad.Recommendation != nil {
+		t.Fatalf("batch item 1 = %+v, want invalid_request naming warp", bad)
+	}
+	if ok := batch.Results[2]; ok.Recommendation == nil || ok.Error != nil {
+		t.Fatalf("batch item 2 should have succeeded: %+v", ok)
 	}
 }

@@ -506,6 +506,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.markDegraded(w)
 	ctx, cacheStatus := cacheStatusContext(w, r)
+	if err := req.validatePricing(); err != nil {
+		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
 	rec, err := s.engine.Recommend(ctx, req.ToBroker())
 	if err != nil {
 		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
@@ -525,6 +529,10 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	// The frontier response is a bare card array with no envelope for
 	// a cache member; X-Cache alone carries the disposition.
 	ctx, _ := cacheStatusContext(w, r)
+	if err := req.validatePricing(); err != nil {
+		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
 	front, err := s.engine.Pareto(ctx, req.ToBroker())
 	if err != nil {
 		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())

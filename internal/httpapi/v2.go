@@ -187,6 +187,11 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 		return nil, fmt.Errorf("unknown job kind %q (want %q or %q)", kind, JobKindRecommend, JobKindPareto)
 	}
 	return func(ctx context.Context) (any, error) {
+		// Rejected when the job runs, so it fails with invalid_request
+		// like any other request the engine refuses.
+		if err := req.validatePricing(); err != nil {
+			return nil, err
+		}
 		jobCtx := ctx
 		ctx = broker.WithSearchProgress(ctx, func(evaluated, spaceSize int64) {
 			jobs.ReportProgress(jobCtx, evaluated, spaceSize)
@@ -479,12 +484,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	breqs := make([]broker.Request, len(req.Requests))
+	// Items with an invalid pricing hint fail on their own; the rest
+	// go to the engine, and their results land back in request order.
+	items := make([]broker.BatchItem, len(req.Requests))
+	var breqs []broker.Request
+	var pos []int
 	for i, rr := range req.Requests {
-		breqs[i] = rr.ToBroker()
+		if err := rr.validatePricing(); err != nil {
+			items[i] = broker.BatchItem{Index: i, Err: err}
+			continue
+		}
+		breqs = append(breqs, rr.ToBroker())
+		pos = append(pos, i)
 	}
 	s.markDegraded(w)
-	items := s.engine.RecommendBatch(r.Context(), breqs)
+	for j, item := range s.engine.RecommendBatch(r.Context(), breqs) {
+		item.Index = pos[j]
+		items[pos[j]] = item
+	}
 
 	resp := BatchResponse{Results: make([]BatchItemDTO, len(items))}
 	for i, item := range items {

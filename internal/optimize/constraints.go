@@ -2,7 +2,6 @@ package optimize
 
 import (
 	"fmt"
-	"sort"
 
 	"uptimebroker/internal/cost"
 )
@@ -94,23 +93,4 @@ func (p *Problem) ExhaustiveConstrained(c Constraints) (Result, error) {
 		return Result{}, ErrInfeasible
 	}
 	return res, nil
-}
-
-// TopK evaluates every candidate and returns the k cheapest by TCO in
-// ascending order (all of them when k exceeds the space). Ties resolve
-// by higher uptime, then assignment order, matching the search
-// tie-break.
-func (p *Problem) TopK(k int) ([]Candidate, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("optimize: k = %d, must be >= 1", k)
-	}
-	all, err := p.All()
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(all, func(i, j int) bool { return better(all[i], all[j]) })
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k], nil
 }

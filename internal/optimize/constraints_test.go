@@ -1,9 +1,7 @@
 package optimize
 
 import (
-	"context"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"uptimebroker/internal/cost"
@@ -95,95 +93,5 @@ func TestExhaustiveConstrainedValidationErrors(t *testing.T) {
 	bad := &Problem{}
 	if _, err := bad.ExhaustiveConstrained(Constraints{}); err == nil {
 		t.Fatal("invalid problem should fail")
-	}
-}
-
-func TestTopK(t *testing.T) {
-	p := sampleProblem()
-	top, err := p.TopK(3)
-	if err != nil {
-		t.Fatalf("TopK: %v", err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("TopK len = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].TCO.Total() < top[i-1].TCO.Total() {
-			t.Fatal("TopK not ascending by TCO")
-		}
-	}
-	ex, _ := p.Exhaustive()
-	if top[0].TCO.Total() != ex.Best.TCO.Total() {
-		t.Fatalf("TopK[0] = %v, exhaustive best = %v", top[0].TCO.Total(), ex.Best.TCO.Total())
-	}
-
-	// k beyond the space returns everything.
-	all, err := p.TopK(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != p.SpaceSize() {
-		t.Fatalf("TopK(1000) len = %d, want %d", len(all), p.SpaceSize())
-	}
-	if _, err := p.TopK(0); err == nil {
-		t.Fatal("TopK(0) should fail")
-	}
-}
-
-func TestExhaustiveParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 60; trial++ {
-		p := randomProblem(rng)
-		seq, err := p.Exhaustive()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			par, err := p.ExhaustiveParallel(context.Background(), workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			if par.Evaluated != seq.Evaluated {
-				t.Fatalf("trial %d: evaluated %d != %d", trial, par.Evaluated, seq.Evaluated)
-			}
-			if par.Best.TCO.Total() != seq.Best.TCO.Total() {
-				t.Fatalf("trial %d: parallel best %v != sequential %v",
-					trial, par.Best.TCO.Total(), seq.Best.TCO.Total())
-			}
-			if !equalAssignments(par.Best.Assignment, seq.Best.Assignment) {
-				t.Fatalf("trial %d: tie-break divergence: %v vs %v",
-					trial, par.Best.Assignment, seq.Best.Assignment)
-			}
-			if par.NoPenaltyFound != seq.NoPenaltyFound {
-				t.Fatalf("trial %d: NoPenaltyFound mismatch", trial)
-			}
-			if seq.NoPenaltyFound && par.BestNoPenalty.TCO.Total() != seq.BestNoPenalty.TCO.Total() {
-				t.Fatalf("trial %d: BestNoPenalty mismatch", trial)
-			}
-		}
-	}
-}
-
-func TestExhaustiveParallelCancellation(t *testing.T) {
-	p := sampleProblem()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.ExhaustiveParallel(ctx, 2); err == nil {
-		t.Fatal("canceled parallel search should fail")
-	}
-}
-
-func TestExhaustiveParallelValidation(t *testing.T) {
-	p := sampleProblem()
-	if _, err := p.ExhaustiveParallel(context.Background(), -1); err == nil {
-		t.Fatal("negative workers should fail")
-	}
-	// workers=0 uses GOMAXPROCS and must still work.
-	res, err := p.ExhaustiveParallel(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("workers=0: %v", err)
-	}
-	if res.Evaluated != p.SpaceSize() {
-		t.Fatalf("evaluated = %d", res.Evaluated)
 	}
 }

@@ -32,12 +32,12 @@ func bigProblem(n int) *Problem {
 	}
 }
 
-func TestAllContextCancelled(t *testing.T) {
+func TestStreamContextCancelled(t *testing.T) {
 	p := bigProblem(12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.AllContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AllContext on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := streamCandidates(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("StreamContext on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -73,12 +73,12 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 		t.Fatalf("context variant diverges: %+v vs %+v", plain, viaCtx)
 	}
 
-	all, err := p.AllContext(context.Background())
+	all, err := streamCandidates(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != p.SpaceSize() {
-		t.Fatalf("AllContext returned %d candidates, want %d", len(all), p.SpaceSize())
+		t.Fatalf("StreamContext visited %d candidates, want %d", len(all), p.SpaceSize())
 	}
 }
 
@@ -87,7 +87,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.AllContext(ctx)
+		_, err := streamCandidates(ctx, p)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -95,7 +95,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("AllContext = %v, want context.Canceled", err)
+			t.Fatalf("StreamContext = %v, want context.Canceled", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("enumeration did not abort after cancel")

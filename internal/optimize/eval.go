@@ -236,7 +236,7 @@ func (c *Cursor) AdvanceFrom(from int) bool {
 func (c *Cursor) Assignment() Assignment { return c.a }
 
 // Index returns the mixed-radix enumeration index of the current
-// assignment: its position in All's output order.
+// assignment: its position in StreamContext's visiting order.
 func (c *Cursor) Index() int64 { return c.idx }
 
 // Uptime returns U_s for the current assignment, bit-identical to

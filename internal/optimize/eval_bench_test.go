@@ -33,10 +33,9 @@ func BenchmarkEvalEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamPricing compares the streaming pricing pass (fold
-// candidates online, O(1) memory) against the materialized AllContext
-// (every candidate cloned into an O(k^n) slice) — the memory-shape
-// split behind broker.Pareto's single-pass rewrite.
+// BenchmarkStreamPricing times the streaming pricing pass: every
+// candidate folded online into the search incumbents in O(1) memory,
+// the shape of broker.Pareto's single-pass frontier.
 func BenchmarkStreamPricing(b *testing.B) {
 	p := slaDenseProblem(19, benchSLA)
 	b.Run("stream/n=19", func(b *testing.B) {
@@ -48,14 +47,6 @@ func BenchmarkStreamPricing(b *testing.B) {
 				return nil
 			})
 			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("materialized/n=19", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.AllContext(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 		}

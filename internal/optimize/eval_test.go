@@ -175,16 +175,14 @@ func TestSolversMatchScratchOracle(t *testing.T) {
 }
 
 // TestStreamMatchesAll pins the streaming visitor against the
-// materialized enumeration: same candidates, same order, for both the
+// from-scratch enumeration (advance + Problem.Evaluate, independent of
+// the compiled evaluator): same candidates, same order, for both the
 // sequential and the sharded stream.
 func TestStreamMatchesAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		p := randomProblem(rng)
-		want, err := p.All()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := scratchCandidates(t, p)
 
 		var got []Candidate
 		if err := p.StreamContext(context.Background(), func(cur *Cursor) error {
@@ -199,13 +197,8 @@ func TestStreamMatchesAll(t *testing.T) {
 		assertSameCandidates(t, trial, "stream", got, want)
 
 		for _, workers := range []int{2, 3, 5} {
-			shard := make([]Candidate, len(want))
-			if err := p.ParallelStreamContext(context.Background(), workers, func() func(*Cursor) error {
-				return func(cur *Cursor) error {
-					shard[cur.Index()] = cur.Candidate()
-					return nil
-				}
-			}); err != nil {
+			shard, err := parallelStreamCandidates(context.Background(), p, workers)
+			if err != nil {
 				t.Fatal(err)
 			}
 			assertSameCandidates(t, trial, "parallel stream", shard, want)

@@ -493,36 +493,6 @@ func (p *Problem) ExhaustiveScratch(ctx context.Context) (Result, error) {
 	}
 }
 
-// All evaluates every candidate and returns them in mixed-radix
-// enumeration order (assignment [0 0 ... 0] first). It powers the
-// per-option report of Figures 3–9.
-func (p *Problem) All() ([]Candidate, error) {
-	return p.AllContext(context.Background())
-}
-
-// AllContext is All with cooperative cancellation: the enumeration
-// aborts with ctx.Err() shortly after ctx is done. A WithProgress
-// hook on the context receives periodic evaluated/space reports.
-//
-// It is StreamContext materialized: the incremental evaluator prices
-// each candidate and only the per-candidate Candidate clone remains.
-// Consumers that can fold candidates online should prefer
-// StreamContext and keep O(1) memory instead of O(k^n).
-func (p *Problem) AllContext(ctx context.Context) ([]Candidate, error) {
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Candidate, 0, p.SpaceSize())
-	if err := ev.stream(ctx, func(cur *Cursor) error {
-		out = append(out, cur.Candidate())
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // advance steps the assignment to the next candidate in mixed-radix
 // order with the last component as the fastest digit; it returns false
 // after the final candidate.

@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -169,12 +170,12 @@ func equalAssignments(a, b Assignment) bool {
 
 func TestAllReturnsEnumerationOrder(t *testing.T) {
 	p := sampleProblem()
-	all, err := p.All()
+	all, err := streamCandidates(context.Background(), p)
 	if err != nil {
-		t.Fatalf("All: %v", err)
+		t.Fatalf("StreamContext: %v", err)
 	}
 	if len(all) != 8 {
-		t.Fatalf("All returned %d candidates, want 8", len(all))
+		t.Fatalf("StreamContext visited %d candidates, want 8", len(all))
 	}
 	if !equalAssignments(all[0].Assignment, Assignment{0, 0, 0}) {
 		t.Fatalf("first candidate = %v, want baseline", all[0].Assignment)
@@ -339,9 +340,9 @@ func TestPropertyParetoFrontIsNonDominated(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		p := randomProblem(rng)
-		all, err := p.All()
+		all, err := streamCandidates(context.Background(), p)
 		if err != nil {
-			t.Fatalf("All: %v", err)
+			t.Fatalf("StreamContext: %v", err)
 		}
 		front := ParetoFront(all)
 		if len(front) == 0 {

@@ -7,77 +7,6 @@ import (
 	"sync"
 )
 
-// ExhaustiveParallel evaluates the full candidate space like
-// Exhaustive, sharding the first decision dimension across workers. It
-// returns the identical optimum (the merge step reapplies the
-// deterministic tie-break) and honors ctx cancellation between shards.
-//
-// Worth using when k^n climbs into the hundreds of thousands; below
-// that the sequential search wins on overhead.
-func (p *Problem) ExhaustiveParallel(ctx context.Context, workers int) (Result, error) {
-	ev, err := NewEvaluator(p)
-	if err != nil {
-		return Result{}, err
-	}
-	if workers < 0 {
-		return Result{}, fmt.Errorf("optimize: workers = %d, must be >= 0", workers)
-	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	firstK := len(p.Components[0].Variants)
-	if workers > firstK {
-		workers = firstK
-	}
-	if workers <= 1 || len(p.Components) == 1 {
-		return p.Exhaustive()
-	}
-
-	// Each shard owns a subset of the first component's variants and
-	// enumerates the remaining dimensions exhaustively.
-	results := make([]Result, firstK)
-	errs := make([]error, firstK)
-	shards := make(chan int)
-	var wg sync.WaitGroup
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cur := ev.NewCursor()
-			scratch := make(Assignment, len(p.Components))
-			for first := range shards {
-				results[first], errs[first] = p.exhaustiveShard(cur, scratch, first)
-			}
-		}()
-	}
-
-	var cancelErr error
-feed:
-	for first := 0; first < firstK; first++ {
-		select {
-		case shards <- first:
-		case <-ctx.Done():
-			cancelErr = ctx.Err()
-			break feed
-		}
-	}
-	close(shards)
-	wg.Wait()
-
-	if cancelErr != nil {
-		return Result{}, fmt.Errorf("optimize: parallel search canceled: %w", cancelErr)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	merged := mergeResults(results)
-	return merged, nil
-}
-
 // mergeResults folds shard results with the same ordering rules the
 // sequential searches apply, so the merged optimum is independent of
 // shard completion order. Evaluated/Skipped/CoverLookups/Clipped
@@ -108,28 +37,10 @@ func mergeResults(results []Result) Result {
 	return merged
 }
 
-// exhaustiveShard enumerates all candidates whose first choice is
-// pinned to `first` on the worker's reusable cursor.
-func (p *Problem) exhaustiveShard(cur *Cursor, scratch Assignment, first int) (Result, error) {
-	for i := range scratch {
-		scratch[i] = 0
-	}
-	scratch[0] = first
-	cur.Sync(scratch)
-	var res Result
-	for {
-		res.observeCursor(cur, p.SLA)
-		if !cur.AdvanceFrom(1) {
-			return res, nil
-		}
-	}
-}
-
 // advanceFrom steps dimensions from..n-1 in mixed-radix order, leaving
 // the pinned prefix untouched; it returns false after the suffix's
-// final candidate. from = 0 is the full advance, from = 1 the
-// first-digit shards of ExhaustiveParallel, larger prefixes the blocks
-// of ParallelAllContext.
+// final candidate. from = 0 is the full step of advance, which the
+// from-scratch reference enumerations walk the space with.
 func (p *Problem) advanceFrom(a Assignment, from int) bool {
 	for i := len(a) - 1; i >= from; i-- {
 		a[i]++

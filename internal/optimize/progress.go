@@ -16,7 +16,7 @@ type ProgressFunc func(evaluated, spaceSize int64)
 type progressKey struct{}
 
 // WithProgress attaches a progress hook to the context. Every
-// enumeration entry point that takes a context (AllContext,
+// enumeration entry point that takes a context (StreamContext,
 // ExhaustiveContext, PrunedContext) reports through it on a fixed
 // cadence plus once at completion; a nil fn detaches.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {

@@ -16,7 +16,7 @@ func progressProblem(t *testing.T) *Problem {
 	return p
 }
 
-func TestAllContextReportsProgress(t *testing.T) {
+func TestStreamContextReportsProgress(t *testing.T) {
 	p := progressProblem(t)
 	var reports []int64
 	var lastSpace int64
@@ -24,7 +24,7 @@ func TestAllContextReportsProgress(t *testing.T) {
 		reports = append(reports, evaluated)
 		lastSpace = space
 	})
-	if _, err := p.AllContext(ctx); err != nil {
+	if _, err := streamCandidates(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) < 2 {

@@ -8,19 +8,21 @@ import (
 )
 
 // StreamContext enumerates every one of the k^n candidates in
-// mixed-radix order, presenting each to visit through a Cursor — the
-// streaming counterpart of AllContext for consumers that fold
-// candidates online (option cards, incumbents, Pareto frontiers)
-// instead of materializing an O(k^n) slice. The cursor is reused
+// mixed-radix order (assignment [0 0 ... 0] first, the last component
+// as the fastest digit), presenting each to visit through a Cursor.
+// It is the card-pricing pass behind the per-option report of
+// Figures 3–9: consumers fold candidates online (option cards,
+// incumbents, Pareto frontiers) in O(1) memory. The cursor is reused
 // between calls: visit must read what it needs (Uptime, TCO,
 // Assignment, Index) before returning and must not retain the cursor
 // or its assignment view; Candidate() clones for retention.
 //
 // The enumeration runs on the compiled incremental evaluator: zero
 // heap allocations per step in steady state, with values
-// bit-identical to Problem.Evaluate. Cancellation and WithProgress
-// reporting behave exactly as in AllContext; an error from visit
-// aborts the stream and is returned verbatim.
+// bit-identical to Problem.Evaluate. The enumeration aborts with
+// ctx.Err() shortly after ctx is done, a WithProgress hook on the
+// context receives periodic evaluated/space reports, and an error from
+// visit aborts the stream and is returned verbatim.
 func (p *Problem) StreamContext(ctx context.Context, visit func(*Cursor) error) error {
 	ev, err := NewEvaluator(p)
 	if err != nil {
@@ -49,10 +51,9 @@ func (e *Evaluator) stream(ctx context.Context, visit func(*Cursor) error) error
 	}
 }
 
-// ParallelStreamContext is StreamContext sharded across workers with
-// the prefix-block work-stealing scheme of ParallelAllContext: the
-// first splitDepth digits are pinned per block and idle workers steal
-// the next block off a shared feed. fork is invoked once per worker
+// ParallelStreamContext is StreamContext sharded across workers by
+// prefix-block work stealing: the first splitDepth digits are pinned
+// per block and idle workers steal the next block off a shared feed. fork is invoked once per worker
 // (concurrently) to produce that worker's visitor; per-worker visitor
 // state plus a deterministic caller-side merge is the pattern — each
 // candidate is visited exactly once, with Cursor.Index identifying

@@ -287,20 +287,6 @@ const (
 	StrategyBounded        = optimize.StrategyBounded
 )
 
-// Card-pricing modes, selectable per request (Request.Pricing / the
-// wire "pricing" field), per engine (WithDefaultPricing), per client
-// (WithPricing) and per uptimectl invocation (-pricing). Every mode
-// produces byte-identical option cards; the choice only moves
-// latency. PricingAuto — the built-in default — resolves to parallel
-// or sequential from the host shape: parallel pays off only when
-// there are at least two cores and the candidate space is large
-// enough to amortize the workers.
-const (
-	PricingAuto       = broker.PricingAuto
-	PricingParallel   = broker.PricingParallel
-	PricingSequential = broker.PricingSequential
-)
-
 // Strategies lists the registered solver strategy names.
 func Strategies() []string { return optimize.Strategies() }
 
@@ -319,23 +305,6 @@ func NewEvaluator(p *Problem) (*Evaluator, error) { return optimize.NewEvaluator
 // requests that do not name one (built-in default: auto).
 func WithDefaultStrategy(strategy string) EngineOption {
 	return broker.WithDefaultStrategy(strategy)
-}
-
-// WithDefaultPricing sets the engine-wide card-pricing mode for
-// requests that do not set one: PricingAuto (the built-in default),
-// PricingParallel or PricingSequential. Requests override it per call
-// with Request.Pricing. (WithPricing is the client-side counterpart.)
-func WithDefaultPricing(mode string) EngineOption {
-	return broker.WithPricing(mode)
-}
-
-// WithParallelPricing forces the engine's full card-pricing pass
-// parallel (true) or sequential (false).
-//
-// Deprecated: use WithDefaultPricing; the built-in PricingAuto
-// default picks per host, which is what almost every caller wants.
-func WithParallelPricing(on bool) EngineOption {
-	return broker.WithParallelPricing(on)
 }
 
 // WithResultCache fronts the engine with a content-addressed
@@ -494,12 +463,6 @@ func WithSolverConfig(cfg SolverConfigDTO) ClientOption { return httpapi.WithSol
 func WithBudget(wall time.Duration, maxEvaluations int64) ClientOption {
 	return httpapi.WithBudget(wall, maxEvaluations)
 }
-
-// WithPricing stamps a default card-pricing mode (PricingParallel,
-// PricingSequential or PricingAuto) onto every outgoing
-// recommendation-type request that does not set one; left unset, the
-// server resolves its own default (auto).
-func WithPricing(mode string) ClientOption { return httpapi.WithPricing(mode) }
 
 // WithProgress makes one Client.WaitJob call stream live progress
 // (state transitions plus evaluated/space_size from the enumeration)
