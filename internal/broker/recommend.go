@@ -55,20 +55,32 @@ type OptionCard struct {
 // Label renders the card's HA selection compactly, e.g.
 // "storage=raid1" or "none".
 func (c OptionCard) Label() string {
-	s := ""
-	for _, ch := range c.Choices {
+	var buf [128]byte
+	return string(AppendLabel(buf[:0], c.Choices))
+}
+
+// AppendLabel appends the label of an HA selection to dst and returns
+// the extended slice: the component=tech pairs of every clustered
+// component, comma-separated in choice order, or NoHALabel when no
+// component is clustered. It is the one label rule — Label and the
+// HTTP layer's card encoder both write through it.
+func AppendLabel(dst []byte, choices []Choice) []byte {
+	start := len(dst)
+	for _, ch := range choices {
 		if ch.TechID == "" {
 			continue
 		}
-		if s != "" {
-			s += ","
+		if len(dst) > start {
+			dst = append(dst, ',')
 		}
-		s += ch.Component + "=" + ch.TechID
+		dst = append(dst, ch.Component...)
+		dst = append(dst, '=')
+		dst = append(dst, ch.TechID...)
 	}
-	if s == "" {
-		return NoHALabel
+	if len(dst) == start {
+		dst = append(dst, NoHALabel...)
 	}
-	return s
+	return dst
 }
 
 // Plan converts the card's choices into a Plan.
@@ -326,6 +338,12 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 
 	space := c.problem.SpaceSize()
 	cards := make([]OptionCard, space)
+	// Every card's choices are carved out of one backing array: one
+	// allocation for the pass instead of one per card. The full slice
+	// expression caps each card at its own n entries, so appending to
+	// one card's choices reallocates rather than overwriting the next.
+	n := len(c.names)
+	choices := make([]Choice, space*n)
 	rk := newRanker(c.problem)
 
 	// fork hands each pricing worker its own fold state; the states
@@ -344,9 +362,11 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 			uptime := cur.Uptime()
 			total := tco.Total()
 			meets := cur.MeetsSLA()
+			own := choices[pos*n : (pos+1)*n : (pos+1)*n]
+			c.fillChoices(own, a)
 			cards[pos] = OptionCard{
 				Option:        pos + 1,
-				Choices:       c.choicesFor(a),
+				Choices:       own,
 				HACost:        tco.HA,
 				Uptime:        uptime,
 				SlippageHours: req.SLA.SlippageHoursPerMonth(uptime),
@@ -454,13 +474,20 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 	return rec, nil
 }
 
-// choicesFor maps an assignment back to component/tech pairs.
+// choicesFor maps an assignment back to component/tech pairs in a
+// fresh slice.
 func (c *compiled) choicesFor(a optimize.Assignment) []Choice {
 	out := make([]Choice, len(a))
-	for i, v := range a {
-		out[i] = Choice{Component: c.names[i], TechID: c.techIDs[i][v]}
-	}
+	c.fillChoices(out, a)
 	return out
+}
+
+// fillChoices writes the component/tech pairs of an assignment into
+// dst, which must hold len(a) entries.
+func (c *compiled) fillChoices(dst []Choice, a optimize.Assignment) {
+	for i, v := range a {
+		dst[i] = Choice{Component: c.names[i], TechID: c.techIDs[i][v]}
+	}
 }
 
 // assignmentForPlan converts a Plan into an assignment, or nil for a

@@ -271,6 +271,9 @@ func fromCard(c broker.OptionCard) OptionCardDTO {
 }
 
 // FromRecommendation converts a domain recommendation to wire form.
+// It is the reference form of a recommendation body: the server
+// streams card bodies through the encoders in encode.go instead, and
+// the golden tests hold their bytes to encoding/json of this value.
 func FromRecommendation(rec *broker.Recommendation) RecommendationResponse {
 	cards := make([]OptionCardDTO, len(rec.Cards))
 	for i, c := range rec.Cards {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -448,8 +449,23 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logf("req=%s encoding %s %s response: %v", RequestIDFrom(r.Context()), r.Method, r.URL.Path, err)
+		s.logEncodeFailure(r, err)
 	}
+}
+
+// writeBody is writeJSON for the card bodies: write streams the 200
+// payload to the response itself (see encode.go), so an encode
+// failure can leave a truncated body, which is logged.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, write func(io.Writer) error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err := write(w); err != nil {
+		s.logEncodeFailure(r, err)
+	}
+}
+
+func (s *Server) logEncodeFailure(r *http.Request, err error) {
+	s.logf("req=%s encoding %s %s response: %v", RequestIDFrom(r.Context()), r.Method, r.URL.Path, err)
 }
 
 // decodeBody decodes a JSON request body, writing the problem itself
@@ -515,9 +531,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	resp := FromRecommendation(rec)
-	resp.Cache = *cacheStatus
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.writeBody(w, r, func(w io.Writer) error { return writeRecommendation(w, rec, *cacheStatus) })
 }
 
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
@@ -538,11 +552,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	out := make([]OptionCardDTO, len(front))
-	for i, c := range front {
-		out[i] = fromCard(c)
-	}
-	s.writeJSON(w, r, http.StatusOK, out)
+	s.writeBody(w, r, func(w io.Writer) error { return writeCards(w, front) })
 }
 
 // handleMetrics implements GET /v1/metrics and /v2/metrics: job
@@ -703,7 +713,5 @@ func (s *Server) handleScenarioRecommend(w http.ResponseWriter, r *http.Request)
 		s.problem(w, r, CodeInvalidRequest, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	resp := FromRecommendation(rec)
-	resp.Cache = *cacheStatus
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.writeBody(w, r, func(w io.Writer) error { return writeRecommendation(w, rec, *cacheStatus) })
 }

@@ -61,7 +61,8 @@ type JobDTO struct {
 
 	// Result carries the job's payload once state is done: a
 	// RecommendationResponse for recommend jobs, []OptionCardDTO for
-	// pareto jobs.
+	// pareto jobs. The server holds it already encoded, as a
+	// json.RawMessage.
 	Result any `json:"result,omitempty"`
 
 	// Progress reports the enumeration's position once the job's
@@ -167,9 +168,7 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 			if err != nil {
 				return nil, err
 			}
-			resp := FromRecommendation(rec)
-			resp.Cache = cacheStatus
-			return resp, nil
+			return marshalRecommendation(rec, cacheStatus)
 		}
 	case JobKindPareto:
 		run = func(ctx context.Context) (any, error) {
@@ -177,11 +176,7 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 			if err != nil {
 				return nil, err
 			}
-			out := make([]OptionCardDTO, len(front))
-			for i, c := range front {
-				out[i] = fromCard(c)
-			}
-			return out, nil
+			return marshalCards(front)
 		}
 	default:
 		return nil, fmt.Errorf("unknown job kind %q (want %q or %q)", kind, JobKindRecommend, JobKindPareto)
@@ -503,22 +498,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items[pos[j]] = item
 	}
 
-	resp := BatchResponse{Results: make([]BatchItemDTO, len(items))}
-	for i, item := range items {
-		dto := BatchItemDTO{Index: item.Index}
-		if item.Err != nil {
-			code := CodeInvalidRequest
-			if errors.Is(item.Err, context.Canceled) || errors.Is(item.Err, context.DeadlineExceeded) {
-				code = CodeCancelled
-			}
-			dto.Error = &JobErrorDTO{Code: code, Detail: item.Err.Error()}
-			resp.Failed++
-		} else {
-			rr := FromRecommendation(item.Rec)
-			dto.Recommendation = &rr
-			resp.Succeeded++
-		}
-		resp.Results[i] = dto
+	s.writeBody(w, r, func(w io.Writer) error { return writeBatch(w, items) })
+}
+
+// batchItemError is the wire form of one failed batch item.
+func batchItemError(err error) *JobErrorDTO {
+	code := CodeInvalidRequest
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		code = CodeCancelled
 	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	return &JobErrorDTO{Code: code, Detail: err.Error()}
 }

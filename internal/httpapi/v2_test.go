@@ -312,10 +312,17 @@ func TestJobListAndMetrics(t *testing.T) {
 }
 
 func TestJobTTLExpiry(t *testing.T) {
-	_, client, _ := newTestServer(t,
+	ts, _, _ := newTestServer(t,
 		WithJobTTL(10*time.Millisecond),
 		WithJobGCInterval(10*time.Millisecond),
 	)
+	// Poll well inside the TTL: at the default 25ms interval a job
+	// still running at the first poll can finish and be swept before
+	// the second, and WaitJob then sees job_not_found instead of done.
+	client, err := NewClient(ts.URL, ts.Client(), WithPollInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	job, err := client.SubmitJob(ctx, JobKindRecommend, caseStudyWire())

@@ -727,11 +727,17 @@ func (s *Store) runOne(id string) {
 
 	// Serialize the result for the journal before taking the store
 	// lock: a large payload must not stall every other submit/poll
-	// while it marshals. Failures surface as an evicted result, not a
-	// failed job — the in-memory payload stays fetchable.
+	// while it marshals. A valid json.RawMessage result is already
+	// serialized and is journaled as is. Failures surface as an
+	// evicted result, not a failed job — the in-memory payload stays
+	// fetchable.
 	var resultJSON []byte
 	if s.backend != nil && err == nil && result != nil {
-		resultJSON, _ = json.Marshal(result)
+		if raw, ok := result.(json.RawMessage); ok && json.Valid(raw) {
+			resultJSON = raw
+		} else {
+			resultJSON, _ = json.Marshal(result)
+		}
 	}
 
 	s.mu.Lock()
