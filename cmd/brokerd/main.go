@@ -21,8 +21,8 @@
 // supersedes -fsync when both are set).
 //
 // -default-strategy picks the solver used for requests that do not
-// name one ("auto", "exhaustive", "pruned", "branch-and-bound" or
-// "parallel-pruned"); individual requests override it with their
+// name one: any strategy the -h help lists (exact or approximate;
+// auto by default). Individual requests override it with their
 // "strategy" field. The full card-pricing pass over the k^n options
 // needs no flag: it shards across the cores only when the host has at
 // least two and the space is big enough to amortize the workers.
@@ -77,6 +77,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -84,6 +85,7 @@ import (
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/httpapi"
 	"uptimebroker/internal/obs"
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/telemetry"
 )
@@ -113,7 +115,7 @@ func run(args []string) error {
 		snapInterval    = fs.Duration("snapshot-interval", time.Minute, "how often the job WAL is compacted into a snapshot (with -data-dir)")
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
-		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one: auto (default), exhaustive, pruned, branch-and-bound or parallel-pruned")
+		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one (default auto): "+strings.Join(optimize.Strategies(), ", "))
 		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results (0 disables the result cache)")
 		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results in bytes (0 = bounded by -cache-entries only)")
 		cacheTTL        = fs.Duration("cache-ttl", 0, "drop cached results older than this (0 = no expiry; epochs already invalidate on data changes)")

@@ -195,7 +195,7 @@ type EngineOption func(*Engine)
 
 // WithDefaultStrategy sets the solver strategy used for requests that
 // do not name one (the built-in default is "auto"). The strategy must
-// be registered with the optimize package; New rejects unknown names.
+// be one of optimize.Strategies(); New rejects unknown names.
 func WithDefaultStrategy(strategy string) EngineOption {
 	return func(e *Engine) { e.defaultStrategy = strategy }
 }

@@ -304,35 +304,16 @@ func (c *clientBuckets) size() int {
 	return len(c.buckets)
 }
 
-// PerClientRateLimit rejects each client exceeding rate
-// requests/second (bucket depth burst) with a rate_limited problem,
-// keying buckets on the client IP. It isolates tenants from one
-// another — one chatty client exhausts its own bucket, not the
-// shared one — and composes with the global RateLimit, which stays
-// the overall cap. rate <= 0 disables it. trustProxy keys on the
+// perClientRateLimitBuckets rejects each client that drains its
+// bucket with a rate_limited problem, keying buckets on the client IP.
+// It isolates tenants from one another — one chatty client exhausts
+// its own bucket, not the shared one — and composes with the global
+// RateLimit, which stays the overall cap. trustProxy keys on the
 // rightmost X-Forwarded-For entry instead of the connection address;
 // enable it only when a trusted proxy fronts the broker, since a
 // directly-connected client could otherwise forge a fresh "IP" per
-// request and never be limited.
-func PerClientRateLimit(rate float64, burst int, trustProxy bool) Middleware {
-	return perClientRateLimitClock(rate, burst, trustProxy, nil)
-}
-
-// perClientRateLimitClock is PerClientRateLimit with an injectable
-// clock for tests.
-func perClientRateLimitClock(rate float64, burst int, trustProxy bool, now func() time.Time) Middleware {
-	if rate <= 0 {
-		return func(next http.Handler) http.Handler { return next }
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	return perClientRateLimitBuckets(newClientBuckets(rate, burst, now), trustProxy)
-}
-
-// perClientRateLimitBuckets is the limiter over a caller-held bucket
-// map — NewServer holds the map itself so its occupancy can feed the
-// ratelimit_client_buckets gauge.
+// request and never be limited. NewServer holds the bucket map itself
+// so its occupancy can feed the ratelimit_client_buckets gauge.
 func perClientRateLimitBuckets(buckets *clientBuckets, trustProxy bool) Middleware {
 	rate := buckets.rate
 	return func(next http.Handler) http.Handler {

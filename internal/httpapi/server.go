@@ -35,7 +35,6 @@ type serverConfig struct {
 	jobTTL          time.Duration
 	jobGC           time.Duration
 	jobWorkers      int
-	jobQueue        int
 	jobDir          string
 	jobSnapInterval time.Duration
 	jobFsync        bool
@@ -179,12 +178,6 @@ func WithJobWorkers(n int) ServerOption {
 	return func(c *serverConfig) { c.jobWorkers = n }
 }
 
-// WithJobQueueCapacity bounds the async job queue; submissions beyond
-// it are rejected with a queue_full problem (default 1024).
-func WithJobQueueCapacity(n int) ServerOption {
-	return func(c *serverConfig) { c.jobQueue = n }
-}
-
 // Server is the brokerage HTTP facade: the synchronous v1 surface,
 // plus the v2 job-oriented surface (async jobs, batch
 // recommendations) with RFC 9457 problem+json errors throughout.
@@ -253,9 +246,6 @@ func NewServer(engine *broker.Engine, store *telemetry.Store, logger *log.Logger
 	}
 	if cfg.jobWorkers > 0 {
 		jobOpts = append(jobOpts, jobs.WithWorkers(cfg.jobWorkers))
-	}
-	if cfg.jobQueue > 0 {
-		jobOpts = append(jobOpts, jobs.WithQueueCapacity(cfg.jobQueue))
 	}
 	if cfg.jobSnapInterval > 0 {
 		jobOpts = append(jobOpts, jobs.WithSnapshotInterval(cfg.jobSnapInterval))
@@ -425,9 +415,6 @@ func (s *Server) Close() {
 	s.ready.Store(false)
 	s.jobs.Close()
 }
-
-// Jobs exposes the job store's metrics for operational surfaces.
-func (s *Server) JobMetrics() jobs.Metrics { return s.jobs.Metrics() }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.logger != nil {

@@ -150,6 +150,32 @@ func TestSolverContradictionRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownStrategyProblemDetail pins the unknown-strategy problem
+// byte for byte: the detail names the rejected strategy and lists the
+// full strategy set in sorted order, for both spellings of the field.
+func TestUnknownStrategyProblemDetail(t *testing.T) {
+	_, client, _ := newTestServer(t)
+	const want = `broker: unknown strategy "simulated-annealing" (choose from ` +
+		`[auto beam bounded branch-and-bound exhaustive lds parallel-pruned pruned], or leave empty for auto)`
+	flat := caseStudyWire()
+	flat.Strategy = "simulated-annealing"
+	nested := caseStudyWire()
+	nested.Solver = &SolverConfigDTO{Strategy: "simulated-annealing"}
+	for name, req := range map[string]RecommendationRequest{"flat": flat, "nested": nested} {
+		_, err := client.Recommend(context.Background(), req)
+		apiErr, ok := err.(*APIError)
+		if !ok {
+			t.Fatalf("%s: err = %v, want *APIError", name, err)
+		}
+		if apiErr.Status != http.StatusUnprocessableEntity || apiErr.Code != CodeInvalidRequest {
+			t.Fatalf("%s: problem = %d/%s, want 422/%s", name, apiErr.Status, apiErr.Code, CodeInvalidRequest)
+		}
+		if apiErr.Detail != want {
+			t.Fatalf("%s: detail\n got %s\nwant %s", name, apiErr.Detail, want)
+		}
+	}
+}
+
 // TestRecommendAnytimeEndToEnd drives the anytime lane through the
 // full HTTP surface: the nested spec selects the strategy, and the
 // response's search stats carry the certificate — including the

@@ -378,11 +378,6 @@ func TestResolveConfigRouting(t *testing.T) {
 		}
 	}
 
-	// The old ResolveStrategy surface refused spaces past the cap; it
-	// now routes them to the approximate lane.
-	if got, err := ResolveStrategy(wide, ""); err != nil || got != StrategyBeam {
-		t.Fatalf("ResolveStrategy(wide, auto) = %q, %v", got, err)
-	}
 }
 
 // TestAnytimeN30WithinBudget is the acceptance gate: all three

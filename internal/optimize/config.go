@@ -64,7 +64,7 @@ const (
 // flat strategy string, so every pre-existing call site keeps its
 // behavior.
 type SolverConfig struct {
-	// Strategy is the registry name; "" and "auto" let the heuristic
+	// Strategy is one of Strategies(); "" and "auto" let the heuristic
 	// pick (which now also weighs the budget and the space size against
 	// MaxCandidates, routing to the approximate lane when the exact one
 	// cannot answer).

@@ -303,62 +303,6 @@ func TestPropertySearchesAgreeOnRandomInstances(t *testing.T) {
 	}
 }
 
-func TestParetoFront(t *testing.T) {
-	mk := func(ha float64, uptime float64) Candidate {
-		return Candidate{
-			Assignment: Assignment{0},
-			Uptime:     uptime,
-			TCO:        cost.TCO{HA: cost.Dollars(ha)},
-		}
-	}
-	cands := []Candidate{
-		mk(0, 0.95),    // front: cheapest
-		mk(100, 0.97),  // front
-		mk(150, 0.96),  // dominated by (100, 0.97)
-		mk(200, 0.99),  // front
-		mk(250, 0.99),  // dominated (same uptime, higher cost)
-		mk(300, 0.985), // dominated
-	}
-	front := ParetoFront(cands)
-	if len(front) != 3 {
-		t.Fatalf("front size = %d, want 3: %+v", len(front), front)
-	}
-	for i := 1; i < len(front); i++ {
-		if front[i].TCO.HA <= front[i-1].TCO.HA {
-			t.Fatal("front not sorted by ascending cost")
-		}
-		if front[i].Uptime <= front[i-1].Uptime {
-			t.Fatal("front uptime not strictly increasing")
-		}
-	}
-	if ParetoFront(nil) != nil {
-		t.Fatal("empty input should give nil front")
-	}
-}
-
-func TestPropertyParetoFrontIsNonDominated(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 100; trial++ {
-		p := randomProblem(rng)
-		all, err := streamCandidates(context.Background(), p)
-		if err != nil {
-			t.Fatalf("StreamContext: %v", err)
-		}
-		front := ParetoFront(all)
-		if len(front) == 0 {
-			t.Fatal("front empty for nonempty candidates")
-		}
-		for _, f := range front {
-			for _, c := range all {
-				if c.TCO.HA <= f.TCO.HA && c.Uptime > f.Uptime && c.TCO.HA < f.TCO.HA {
-					t.Fatalf("front member (%v, %v) dominated by (%v, %v)",
-						f.TCO.HA, f.Uptime, c.TCO.HA, c.Uptime)
-				}
-			}
-		}
-	}
-}
-
 func TestMaxCandidatesGuard(t *testing.T) {
 	// 27 components with 2 variants each exceed 2^26.
 	comps := make([]ComponentChoices, 27)

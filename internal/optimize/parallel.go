@@ -52,12 +52,6 @@ func (p *Problem) advanceFrom(a Assignment, from int) bool {
 	return false
 }
 
-// ParallelPruned is ParallelPrunedContext with a background context
-// and GOMAXPROCS workers.
-func (p *Problem) ParallelPruned() (Result, error) {
-	return p.ParallelPrunedContext(context.Background(), 0)
-}
-
 // ParallelPrunedContext runs the Section III.C level search with each
 // level's subtree walk sharded across workers. Within one level the
 // superset index is frozen (read-only), which is lossless: an

@@ -3,43 +3,12 @@ package optimize
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"uptimebroker/internal/availability"
 )
 
-// Solver is one search algorithm over a Problem. Every registered
-// solver uniformly supports context cancellation, WithProgress hooks
-// and WithStrategyReport hooks. The exact strategies return identical
-// Best/BestNoPenalty for the same problem (a property the equivalence
-// tests enforce on randomized instances); the approximate lane's
-// strategies (see ApproximateStrategy) instead certify how far their
-// incumbent can be from optimal through the Result's Bound/Gap fields.
-type Solver interface {
-	// Name is the strategy's registry key, e.g. "pruned".
-	Name() string
-
-	// Solve runs the search. The context carries cancellation plus the
-	// optional progress/strategy hooks.
-	Solve(ctx context.Context, p *Problem) (Result, error)
-}
-
-// ConfigSolver is the config-aware face of a Solver: strategies that
-// honor budgets and the approximate-lane knobs implement it, and
-// SolveConfig dispatches through it when present. Solve remains the
-// zero-config entry (equivalent to SolveConfig with a zero
-// SolverConfig carrying the strategy name).
-type ConfigSolver interface {
-	Solver
-
-	// SolveConfig runs the search under the given configuration. The
-	// config's Strategy field is advisory here — dispatch already
-	// happened — but the budget and knobs must be honored.
-	SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error)
-}
-
-// Built-in strategy names.
+// Strategy names: the closed set Strategies lists.
 const (
 	// StrategyExhaustive prices every one of the k^n candidates
 	// (Equation 6 verbatim). The only strategy whose Evaluated always
@@ -96,154 +65,52 @@ func ApproximateStrategy(name string) bool {
 	return false
 }
 
-// solverFunc adapts a function to the Solver interface.
-type solverFunc struct {
-	name string
-	fn   func(ctx context.Context, p *Problem) (Result, error)
-}
-
-func (s solverFunc) Name() string { return s.name }
-func (s solverFunc) Solve(ctx context.Context, p *Problem) (Result, error) {
-	return s.fn(ctx, p)
-}
-
-// configSolverFunc adapts a config-aware function to ConfigSolver.
-type configSolverFunc struct {
-	name string
-	fn   func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error)
-}
-
-func (s configSolverFunc) Name() string { return s.name }
-func (s configSolverFunc) Solve(ctx context.Context, p *Problem) (Result, error) {
-	return s.fn(ctx, p, SolverConfig{})
-}
-func (s configSolverFunc) SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-	return s.fn(ctx, p, cfg)
-}
-
-// registry holds the named strategies. The built-ins register at init;
-// RegisterSolver admits additional ones.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Solver
-}{m: make(map[string]Solver)}
-
-func init() {
-	mustRegister(solverFunc{StrategyExhaustive, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.ExhaustiveContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyPruned, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.PrunedContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyBranchAndBound, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.BranchAndBoundContext(ctx)
-	}})
-	mustRegister(solverFunc{StrategyParallelPruned, func(ctx context.Context, p *Problem) (Result, error) {
-		return p.ParallelPrunedContext(ctx, 0)
-	}})
-	mustRegister(configSolverFunc{StrategyBeam, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.beamSearch(ctx, cfg)
-	}})
-	mustRegister(configSolverFunc{StrategyLDS, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.ldsSearch(ctx, cfg)
-	}})
-	mustRegister(configSolverFunc{StrategyBounded, func(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-		return p.boundedSearch(ctx, cfg)
-	}})
-	mustRegister(autoSolver{})
-}
-
-func mustRegister(s Solver) {
-	if err := RegisterSolver(s); err != nil {
-		panic(err)
-	}
-}
-
-// RegisterSolver adds a named strategy to the registry. Registered
-// solvers must either be exact (same optimum as exhaustive) or mark
-// their results Approximate with an admissible Bound, so the brokerage
-// layers can tell a proven optimum from a certified incumbent.
-// Duplicate or empty names are an error.
-func RegisterSolver(s Solver) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("optimize: solver must have a name")
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[s.Name()]; dup {
-		return fmt.Errorf("optimize: solver %q already registered", s.Name())
-	}
-	registry.m[s.Name()] = s
-	return nil
-}
-
-// Strategies returns the registered strategy names, sorted.
+// Strategies returns the strategy names, sorted. The set is closed:
+// SolveConfig runs each name through one switch, and every strategy
+// uniformly supports context cancellation, WithProgress hooks and
+// WithStrategyReport hooks. The exact strategies return identical
+// Best/BestNoPenalty for the same problem (a property the equivalence
+// tests enforce on randomized instances); the approximate lane's
+// strategies (see ApproximateStrategy) instead certify how far their
+// incumbent can be from optimal through the Result's Bound/Gap fields.
+// Each call returns a fresh slice the caller may keep or modify.
 func Strategies() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
-		out = append(out, name)
+	return []string{
+		StrategyAuto,
+		StrategyBeam,
+		StrategyBounded,
+		StrategyBranchAndBound,
+		StrategyExhaustive,
+		StrategyLDS,
+		StrategyParallelPruned,
+		StrategyPruned,
 	}
-	sort.Strings(out)
-	return out
 }
 
-// ValidStrategy reports whether name is registered ("" counts as
-// valid: it means the caller's default, auto).
+// ValidStrategy reports whether name is one of Strategies ("" counts
+// as valid: it means the caller's default, auto).
 func ValidStrategy(name string) bool {
-	if name == "" {
-		return true
-	}
-	registry.RLock()
-	defer registry.RUnlock()
-	_, ok := registry.m[name]
-	return ok
+	return name == "" || slices.Contains(Strategies(), name)
 }
 
-// solverByName resolves a registered strategy; "" resolves to auto.
-func solverByName(name string) (Solver, error) {
-	if name == "" {
-		name = StrategyAuto
-	}
-	registry.RLock()
-	s, ok := registry.m[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("optimize: unknown strategy %q (registered: %v)", name, Strategies())
-	}
-	return s, nil
-}
-
-// ResolveStrategy reports the concrete solver a Solve call with this
-// strategy would run on the given problem: "" and "auto" resolve
-// through the heuristic (which needs a valid problem shape), anything
-// else echoes the registered name. Layers that can answer a request
-// without a separate solver pass — the broker's fused streaming
-// Recommend when the resolved strategy is exhaustive — use it to make
-// that call before starting the enumeration.
-func ResolveStrategy(p *Problem, strategy string) (string, error) {
-	return ResolveConfig(p, SolverConfig{Strategy: strategy})
-}
-
-// ResolveConfig is ResolveStrategy for a full solver config: the auto
-// heuristic additionally weighs the budget, the approximate-lane knobs
-// and the space size against MaxCandidates.
+// ResolveConfig reports the concrete strategy a SolveConfig call with
+// this config would run on the given problem: "" and "auto" resolve
+// through autoPick (which needs a valid problem shape), anything else
+// echoes the named strategy. Layers that can answer a request without
+// a separate solver pass — the broker's fused streaming Recommend when
+// the resolved strategy is exhaustive — use it to make that call
+// before starting the enumeration.
 func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	s, err := solverByName(cfg.Strategy)
-	if err != nil {
+	if cfg.Strategy != "" && cfg.Strategy != StrategyAuto {
+		return cfg.Strategy, nil
+	}
+	if err := p.validateShape(); err != nil {
 		return "", err
 	}
-	if auto, ok := s.(autoSolver); ok {
-		if err := p.validateShape(); err != nil {
-			return "", err
-		}
-		s = auto.pickConfig(p, cfg)
-	}
-	return s.Name(), nil
+	return autoPick(p, cfg), nil
 }
 
 // Solve runs the named strategy ("" or "auto" lets the heuristic
@@ -256,45 +123,51 @@ func Solve(ctx context.Context, p *Problem, strategy string) (Result, error) {
 }
 
 // SolveConfig is Solve for a full solver config: budgets and the
-// approximate-lane knobs reach strategies that implement ConfigSolver
-// directly. For exact strategies a wall budget becomes a context
-// deadline; an explicit exact strategy cannot honor an evaluation cap
-// and is refused (auto under an evaluation cap routes to the
-// approximate lane instead whenever the cap could bind).
+// approximate-lane knobs reach the approximate strategies directly.
+// For exact strategies a wall budget becomes a context deadline; an
+// explicit exact strategy cannot honor an evaluation cap and is
+// refused (auto under an evaluation cap routes to the approximate lane
+// instead whenever the cap could bind).
 func SolveConfig(ctx context.Context, p *Problem, cfg SolverConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	s, err := solverByName(cfg.Strategy)
+	name, err := ResolveConfig(p, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	auto, isAuto := s.(autoSolver)
-	if isAuto {
-		if err := p.validateShape(); err != nil {
-			return Result{}, err
-		}
-		s = auto.pickConfig(p, cfg)
-	}
-	reportStrategy(ctx, s.Name())
-	var res Result
-	if cs, ok := s.(ConfigSolver); ok {
-		res, err = cs.SolveConfig(ctx, p, cfg)
-	} else {
-		if cfg.Budget.MaxEvaluations > 0 && !isAuto {
-			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use an approximate strategy or auto", s.Name())
+	reportStrategy(ctx, name)
+	if !ApproximateStrategy(name) {
+		explicit := cfg.Strategy != "" && cfg.Strategy != StrategyAuto
+		if cfg.Budget.MaxEvaluations > 0 && explicit {
+			return Result{}, fmt.Errorf("optimize: strategy %q is exact and cannot honor max_evaluations; use an approximate strategy or auto", name)
 		}
 		if cfg.Budget.Wall > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, cfg.Budget.Wall)
 			defer cancel()
 		}
-		res, err = s.Solve(ctx, p)
+	}
+	var res Result
+	switch name {
+	case StrategyExhaustive:
+		res, err = p.ExhaustiveContext(ctx)
+	case StrategyPruned:
+		res, err = p.PrunedContext(ctx)
+	case StrategyBranchAndBound:
+		res, err = p.BranchAndBoundContext(ctx)
+	case StrategyParallelPruned:
+		res, err = p.ParallelPrunedContext(ctx, 0)
+	case StrategyBeam:
+		res, err = p.beamSearch(ctx, cfg)
+	case StrategyLDS:
+		res, err = p.ldsSearch(ctx, cfg)
+	case StrategyBounded:
+		res, err = p.boundedSearch(ctx, cfg)
+	default:
+		return Result{}, fmt.Errorf("optimize: strategy %q has no solver", name)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.Strategy = s.Name()
+	res.Strategy = name
 	return res, nil
 }
 
@@ -312,7 +185,18 @@ const (
 	autoApproximateSpace = 1 << 22
 )
 
-// autoSolver picks a concrete strategy from the problem's shape:
+// autoPick resolves "auto" to a concrete strategy for a shape-validated
+// problem under a config; every rule and threshold of the heuristic
+// lives here. An explicit approximate knob expresses intent and picks
+// its strategy outright. Otherwise the approximate lane answers
+// whenever the exact one cannot — the space exceeds MaxCandidates, an
+// evaluation cap could bind, or a wall budget meets a space too large
+// to promise an exact finish:
+//
+//   - SLA attainable → beam (superset pruning keeps its levels shallow)
+//   - unattainable   → bounded (only the cost bound can clip)
+//
+// Within the exact lane:
 //
 //   - SLA attainable, large space  → parallel-pruned
 //   - SLA attainable, otherwise    → pruned (the paper's Section
@@ -322,84 +206,38 @@ const (
 //   - unattainable, otherwise      → branch-and-bound (superset
 //     pruning can never fire, but the cost bound still clips)
 //
-// Attainability is probed with a single evaluation of the per-
+// Attainability is probed once, with a single evaluation of the per-
 // component max-uptime assignment: the serial-chain uptime model is
 // monotone in each component's reliability, so if even that candidate
 // misses the SLA, nothing meets it.
-type autoSolver struct{}
-
-func (autoSolver) Name() string { return StrategyAuto }
-
-func (a autoSolver) Solve(ctx context.Context, p *Problem) (Result, error) {
-	if err := p.validateShape(); err != nil {
-		return Result{}, err
-	}
-	s := a.pickConfig(p, SolverConfig{})
-	res, err := s.Solve(ctx, p)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Strategy = s.Name()
-	return res, nil
-}
-
-// pickConfig resolves the concrete strategy for a shape-validated
-// problem under a config. An explicit approximate knob expresses
-// intent and picks its strategy outright; otherwise the approximate
-// lane answers whenever the exact one cannot — the space exceeds
-// MaxCandidates, an evaluation cap could bind, or a wall budget meets
-// a space too large to promise an exact finish — with beam for
-// attainable SLAs (superset pruning keeps its levels shallow) and
-// bounded for unattainable ones (only the cost bound can clip).
-// Within the exact lane the PR 1–8 rules are unchanged.
-func (a autoSolver) pickConfig(p *Problem, cfg SolverConfig) Solver {
+func autoPick(p *Problem, cfg SolverConfig) string {
 	switch {
 	case cfg.BeamWidth > 0:
-		return mustSolver(StrategyBeam)
+		return StrategyBeam
 	case cfg.MaxDiscrepancies > 0:
-		return mustSolver(StrategyLDS)
+		return StrategyLDS
 	case cfg.Epsilon > 0:
-		return mustSolver(StrategyBounded)
+		return StrategyBounded
 	}
 	space := p.SpaceSize()
 	approximate := space > MaxCandidates ||
 		(cfg.Budget.MaxEvaluations > 0 && cfg.Budget.MaxEvaluations < int64(space)) ||
 		(cfg.Budget.Wall > 0 && space > autoApproximateSpace)
-	if approximate {
-		if p.slaAttainable() {
-			return mustSolver(StrategyBeam)
-		}
-		return mustSolver(StrategyBounded)
-	}
-	return a.pick(p)
-}
-
-// pick resolves the exact-lane strategy for an already-validated
-// problem within the MaxCandidates cap.
-func (autoSolver) pick(p *Problem) Solver {
-	var name string
+	attainable := p.slaAttainable()
 	switch {
-	case !p.slaAttainable():
-		name = StrategyBranchAndBound
-		if p.SpaceSize() <= autoSmallSpace {
-			name = StrategyExhaustive
-		}
-	case p.SpaceSize() >= autoParallelSpace:
-		name = StrategyParallelPruned
+	case approximate && attainable:
+		return StrategyBeam
+	case approximate:
+		return StrategyBounded
+	case !attainable && space <= autoSmallSpace:
+		return StrategyExhaustive
+	case !attainable:
+		return StrategyBranchAndBound
+	case space >= autoParallelSpace:
+		return StrategyParallelPruned
 	default:
-		name = StrategyPruned
+		return StrategyPruned
 	}
-	return mustSolver(name)
-}
-
-// mustSolver resolves a built-in by name; the built-ins cannot be
-// unregistered, so failure is unreachable.
-func mustSolver(name string) Solver {
-	s, err := solverByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // slaAttainable reports whether any candidate meets the SLA, by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestStrategiesRegistered(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("strategy %q missing from registry %v", name, got)
+			t.Fatalf("strategy %q missing from Strategies() %v", name, got)
 		}
 	}
 	for _, name := range want {
@@ -32,7 +33,7 @@ func TestStrategiesRegistered(t *testing.T) {
 		t.Fatal("empty strategy should be valid (caller default)")
 	}
 	if ValidStrategy("simulated-annealing") {
-		t.Fatal("unregistered strategy should be invalid")
+		t.Fatal("unlisted strategy should be invalid")
 	}
 }
 
@@ -43,16 +44,83 @@ func TestSolveUnknownStrategy(t *testing.T) {
 	}
 }
 
-func TestRegisterSolverRejectsDuplicates(t *testing.T) {
-	if err := RegisterSolver(solverFunc{StrategyPruned, nil}); err == nil {
-		t.Fatal("duplicate registration should fail")
+// TestStrategyTable walks the closed strategy list so it cannot drift
+// from SolveConfig's switch: every listed name must solve, stamp its
+// own name (auto a concrete one), agree with exhaustive when exact, and
+// take the budget lane ApproximateStrategy assigns it.
+func TestStrategyTable(t *testing.T) {
+	names := Strategies()
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("Strategies() = %v, not sorted", names)
 	}
-	if err := RegisterSolver(nil); err == nil {
-		t.Fatal("nil solver should fail")
+	names[0] = "mutated"
+	if got := Strategies(); got[0] == "mutated" {
+		t.Fatal("mutating the returned slice changed the next Strategies() call")
+	}
+
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(14))
+	problems := make([]*Problem, 8)
+	for i := range problems {
+		problems[i] = randomProblem(rng)
+	}
+	const maxEvals = 3
+	capped := bigProblem(8)
+	for _, name := range Strategies() {
+		t.Run(name, func(t *testing.T) {
+			exact := name != StrategyAuto && !ApproximateStrategy(name)
+			for trial, p := range problems {
+				res, err := Solve(ctx, p, name)
+				if err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				switch {
+				case name == StrategyAuto:
+					if !ValidStrategy(res.Strategy) || res.Strategy == "" || res.Strategy == StrategyAuto {
+						t.Fatalf("trial %d: auto stamped %q, want a concrete strategy", trial, res.Strategy)
+					}
+				case res.Strategy != name:
+					t.Fatalf("trial %d: stamped %q, want %q", trial, res.Strategy, name)
+				}
+				if !exact {
+					continue
+				}
+				ref, err := p.ExhaustiveContext(ctx)
+				if err != nil {
+					t.Fatalf("trial %d: exhaustive: %v", trial, err)
+				}
+				if !equalAssignments(res.Best.Assignment, ref.Best.Assignment) {
+					t.Fatalf("trial %d: Best %v != exhaustive %v", trial, res.Best.Assignment, ref.Best.Assignment)
+				}
+				if res.NoPenaltyFound != ref.NoPenaltyFound ||
+					!equalAssignments(res.BestNoPenalty.Assignment, ref.BestNoPenalty.Assignment) {
+					t.Fatalf("trial %d: BestNoPenalty %v (found %v) != exhaustive %v (found %v)", trial,
+						res.BestNoPenalty.Assignment, res.NoPenaltyFound, ref.BestNoPenalty.Assignment, ref.NoPenaltyFound)
+				}
+			}
+
+			res, err := SolveConfig(ctx, capped, SolverConfig{Strategy: name, Budget: Budget{MaxEvaluations: maxEvals}})
+			if exact {
+				if err == nil || !strings.Contains(err.Error(), "cannot honor max_evaluations") {
+					t.Fatalf("exact strategy under an evaluation cap = %v, want refusal", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("under an evaluation cap: %v", err)
+			}
+			if res.Evaluated > maxEvals || !res.BudgetExhausted || !res.Approximate {
+				t.Fatalf("under a cap of %d: evaluated %d, budget exhausted %v, approximate %v",
+					maxEvals, res.Evaluated, res.BudgetExhausted, res.Approximate)
+			}
+			if res.Strategy == StrategyAuto {
+				t.Fatal("auto echoed itself under an evaluation cap")
+			}
+		})
 	}
 }
 
-// TestSolverEquivalenceOnRandomInstances is the registry-wide
+// TestSolverEquivalenceOnRandomInstances is the strategy-wide
 // exactness guarantee for the exact lane: every non-approximate
 // strategy returns the identical Best/BestNoPenalty on randomized
 // instances. The approximate strategies are exempt by contract —

@@ -107,13 +107,10 @@ type (
 	EngineOption = broker.EngineOption
 	// Request is a brokerage request.
 	Request = broker.Request
-	// Solver is one pluggable search strategy over a compiled problem;
-	// register custom exact strategies with RegisterSolver.
-	Solver = optimize.Solver
-	// Problem is the compiled search instance a Solver runs on; obtain
-	// one from Engine.Compile.
+	// Problem is the compiled search instance the solver strategies run
+	// on; obtain one from Engine.Compile.
 	Problem = optimize.Problem
-	// SolverResult is a Solver's outcome: the optimum under both
+	// SolverResult is a solver run's outcome: the optimum under both
 	// orderings plus effort statistics — and, for the anytime
 	// strategies, the certified bound/gap/optimal certificate.
 	SolverResult = optimize.Result
@@ -287,18 +284,13 @@ const (
 	StrategyBounded        = optimize.StrategyBounded
 )
 
-// Strategies lists the registered solver strategy names.
+// Strategies lists the solver strategy names, sorted. The set is
+// fixed; each call returns a fresh slice.
 func Strategies() []string { return optimize.Strategies() }
 
-// RegisterSolver adds a custom named strategy to the solver registry.
-// Registered solvers must be exact (identical optimum to exhaustive);
-// the brokerage treats strategy purely as a performance knob.
-func RegisterSolver(s Solver) error { return optimize.RegisterSolver(s) }
-
 // NewEvaluator validates and compiles a problem for incremental
-// evaluation; custom Solvers use it to price candidates in amortized
-// O(1) per enumeration step with values bit-identical to
-// Problem.Evaluate.
+// evaluation: its cursors price candidates in amortized O(1) per
+// enumeration step with values bit-identical to Problem.Evaluate.
 func NewEvaluator(p *Problem) (*Evaluator, error) { return optimize.NewEvaluator(p) }
 
 // WithDefaultStrategy sets the engine-wide solver strategy for
