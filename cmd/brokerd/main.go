@@ -5,7 +5,7 @@
 //
 //	brokerd [-addr :8080] [-quiet] [-rate-limit 0] [-rate-limit-per-client 0]
 //	        [-job-ttl 15m] [-job-workers 0] [-data-dir DIR] [-snapshot-interval 1m]
-//	        [-fsync] [-group-commit] [-default-strategy auto]
+//	        [-fsync] [-group-commit]
 //	        [-cache-entries 1024] [-cache-bytes 0] [-cache-ttl 0] [-sse-ping 15s]
 //
 // With -data-dir the async job store is durable: every submission,
@@ -20,11 +20,10 @@
 // flushes, recovering most of the throughput under load (it
 // supersedes -fsync when both are set).
 //
-// -default-strategy picks the solver used for requests that do not
-// name one: any strategy the -h help lists (exact or approximate;
-// auto by default). Individual requests override it with their
-// "strategy" field. The full card-pricing pass over the k^n options
-// needs no flag: it shards across the cores only when the host has at
+// Each request picks its own solver with its "solver" object (or the
+// deprecated flat "strategy" field); a request that names none runs
+// auto. The full card-pricing pass over the k^n options needs no
+// flag: it shards across the cores only when the host has at
 // least two and the space is big enough to amortize the workers.
 //
 // Completed recommendations are cached by content address: a stable
@@ -77,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -85,7 +83,6 @@ import (
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/httpapi"
 	"uptimebroker/internal/obs"
-	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/telemetry"
 )
@@ -115,7 +112,6 @@ func run(args []string) error {
 		snapInterval    = fs.Duration("snapshot-interval", time.Minute, "how often the job WAL is compacted into a snapshot (with -data-dir)")
 		fsync           = fs.Bool("fsync", false, "fsync every job WAL append for power-loss durability (with -data-dir)")
 		groupCommit     = fs.Bool("group-commit", false, "fsync durability with concurrent WAL appends coalesced into shared flushes (with -data-dir)")
-		defaultStrategy = fs.String("default-strategy", "", "solver for requests that do not name one (default auto): "+strings.Join(optimize.Strategies(), ", "))
 		cacheEntries    = fs.Int("cache-entries", 1024, "max cached recommendation results (0 disables the result cache)")
 		cacheBytes      = fs.Int64("cache-bytes", 0, "approximate memory budget for cached results in bytes (0 = bounded by -cache-entries only)")
 		cacheTTL        = fs.Duration("cache-ttl", 0, "drop cached results older than this (0 = no expiry; epochs already invalidate on data changes)")
@@ -151,7 +147,6 @@ func run(args []string) error {
 	// layer, so GET /metrics is the whole process in one scrape.
 	registry := obs.NewRegistry()
 	engineOpts := []broker.EngineOption{
-		broker.WithDefaultStrategy(*defaultStrategy),
 		broker.WithMetricsRegistry(registry),
 	}
 	if *cacheEntries > 0 {

@@ -8,7 +8,9 @@
 package broker
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -176,10 +178,9 @@ func (r Request) Validate() error {
 
 // Engine is the brokerage service core.
 type Engine struct {
-	catalog         *catalog.Catalog
-	params          ParamSource
-	defaultStrategy string
-	cache           *reccache.Cache
+	catalog *catalog.Catalog
+	params  ParamSource
+	cache   *reccache.Cache
 
 	// metrics is the engine's registry attachment (nil when
 	// uninstrumented); metricsOnce serializes InstrumentMetrics and
@@ -192,13 +193,6 @@ type Engine struct {
 
 // EngineOption customizes New.
 type EngineOption func(*Engine)
-
-// WithDefaultStrategy sets the solver strategy used for requests that
-// do not name one (the built-in default is "auto"). The strategy must
-// be one of optimize.Strategies(); New rejects unknown names.
-func WithDefaultStrategy(strategy string) EngineOption {
-	return func(e *Engine) { e.defaultStrategy = strategy }
-}
 
 // WithResultCache attaches a content-addressed result cache:
 // Recommend and Pareto answer repeated identical requests from it in
@@ -223,25 +217,8 @@ func New(cat *catalog.Catalog, params ParamSource, opts ...EngineOption) (*Engin
 	for _, opt := range opts {
 		opt(e)
 	}
-	if !optimize.ValidStrategy(e.defaultStrategy) {
-		return nil, fmt.Errorf("broker: unknown default strategy %q (choose from %v)",
-			e.defaultStrategy, optimize.Strategies())
-	}
 	e.InstrumentMetrics(e.pendingMetrics)
 	return e, nil
-}
-
-// strategyFor resolves the solver strategy for one request: the
-// request's choice (nested spelling first), else the engine default,
-// else auto (the empty string, which optimize.Solve resolves to auto).
-func (e *Engine) strategyFor(req Request) string {
-	if req.Solver.Strategy != "" {
-		return req.Solver.Strategy
-	}
-	if req.Strategy != "" {
-		return req.Strategy
-	}
-	return e.defaultStrategy
 }
 
 // autoParallelPricingSpace is the space size below which card
@@ -260,6 +237,16 @@ const autoParallelPricingSpace = 1 << 12
 // test host does not have.
 func autoParallelPricing(procs, space int) bool {
 	return procs >= 2 && space >= autoParallelPricingSpace
+}
+
+// streamPricing runs one card-pricing pass over p: sharded across the
+// host's cores when autoParallelPricing says it pays, otherwise one
+// sequential stream. fork hands each worker its own visit function.
+func streamPricing(ctx context.Context, p *optimize.Problem, fork func() func(*optimize.Cursor) error) error {
+	if autoParallelPricing(runtime.GOMAXPROCS(0), p.SpaceSize()) {
+		return p.ParallelStreamContext(ctx, 0, fork)
+	}
+	return p.StreamContext(ctx, fork())
 }
 
 // Catalog exposes the engine's catalog for read-only use by the HTTP

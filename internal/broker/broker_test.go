@@ -9,12 +9,13 @@ import (
 	"uptimebroker/internal/availability"
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/cost"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/telemetry"
 	"uptimebroker/internal/topology"
 )
 
-func newTestEngine(t *testing.T) *Engine {
+func newTestEngine(t testing.TB) *Engine {
 	t.Helper()
 	cat := catalog.Default()
 	e, err := New(cat, CatalogParams{Catalog: cat})
@@ -432,10 +433,9 @@ func TestOptionCardLabelEdgeCases(t *testing.T) {
 	}
 }
 
-// TestStrategySelection covers the three-level strategy resolution:
-// request > engine default > auto, plus validation of unknown names.
+// TestStrategySelection covers strategy resolution — the request's
+// choice, else auto — plus validation of unknown names.
 func TestStrategySelection(t *testing.T) {
-	cat := catalog.Default()
 	ctx := context.Background()
 
 	t.Run("unknown request strategy rejected", func(t *testing.T) {
@@ -443,12 +443,6 @@ func TestStrategySelection(t *testing.T) {
 		req.Strategy = "simulated-annealing"
 		if err := req.Validate(); err == nil || !strings.Contains(err.Error(), "simulated-annealing") {
 			t.Fatalf("Validate = %v, want unknown-strategy error", err)
-		}
-	})
-
-	t.Run("unknown engine default rejected", func(t *testing.T) {
-		if _, err := New(cat, CatalogParams{Catalog: cat}, WithDefaultStrategy("nope")); err == nil {
-			t.Fatal("unknown default strategy should fail New")
 		}
 	})
 
@@ -465,20 +459,6 @@ func TestStrategySelection(t *testing.T) {
 		}
 		if rec.Search.Evaluated != rec.Search.SpaceSize || rec.Search.Skipped != 0 {
 			t.Fatalf("exhaustive stats = %+v", rec.Search)
-		}
-	})
-
-	t.Run("engine default applies when request silent", func(t *testing.T) {
-		e, err := New(cat, CatalogParams{Catalog: cat}, WithDefaultStrategy(optimize.StrategyBranchAndBound))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, err := e.Recommend(ctx, CaseStudy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Search.Strategy != optimize.StrategyBranchAndBound {
-			t.Fatalf("Search.Strategy = %q, want the engine default", rec.Search.Strategy)
 		}
 	})
 
@@ -513,3 +493,6 @@ func TestStrategySelection(t *testing.T) {
 		}
 	})
 }
+
+// traced returns a background context carrying t.
+func traced(t obs.Trace) context.Context { return obs.WithTrace(context.Background(), t) }

@@ -3,26 +3,14 @@ package broker
 import (
 	"context"
 
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/reccache"
 )
 
-// cacheReportKey carries the WithCacheReport hook.
-type cacheReportKey struct{}
-
-// WithCacheReport attaches a hook that hears how the engine's result
-// cache answered a Recommend or Pareto call: "hit" (served from the
-// cache, no search ran), "miss" (this call ran the search) or
-// "shared" (this call joined another caller's identical in-flight
-// search). The hook fires once per call, after the result is
-// available; it never fires on engines without a cache, which is how
-// the HTTP layer decides whether to emit an X-Cache header at all.
-func WithCacheReport(ctx context.Context, fn func(status string)) context.Context {
-	return context.WithValue(ctx, cacheReportKey{}, fn)
-}
-
-// reportCacheStatus invokes a WithCacheReport hook, if any.
+// reportCacheStatus tells the context Trace's Cache hook, if any, how
+// the result cache answered the call.
 func reportCacheStatus(ctx context.Context, status reccache.Status) {
-	if fn, ok := ctx.Value(cacheReportKey{}).(func(status string)); ok {
+	if fn := obs.TraceFrom(ctx).Cache; fn != nil {
 		fn(string(status))
 	}
 }
@@ -55,15 +43,18 @@ func cardsBytes(cards []OptionCard) int64 {
 // in O(1) without compiling anything, and concurrent identical
 // requests collapse into a single search whose result every caller
 // shares. The returned *Recommendation may therefore be shared —
-// treat it as read-only. A WithCacheReport hook on the context hears
-// which of the three ways the call was answered.
+// treat it as read-only. The context Trace's Cache hook hears which
+// of the three ways the call was answered: "hit" (no search ran),
+// "miss" (this call ran the search) or "shared" (this call joined
+// another caller's identical in-flight search). It fires once, after
+// the result is available, and never on engines without a cache.
 //
 // The search runs detached from any single caller's cancellation: ctx
 // cancellation makes this call return ctx.Err() immediately, but the
 // underlying search keeps running while other callers wait on it, and
 // is abandoned only when the last of them leaves.
 func (e *Engine) Recommend(ctx context.Context, req Request) (*Recommendation, error) {
-	req = e.normalize(req)
+	req = normalize(req)
 	if e.cache == nil {
 		return e.recommend(ctx, req)
 	}
@@ -84,10 +75,10 @@ func (e *Engine) Recommend(ctx context.Context, req Request) (*Recommendation, e
 // Pareto runs the brokerage and returns only the cost × uptime
 // frontier cards (see pareto). Caching behaves exactly as on
 // Recommend — normalized content-addressed lookups, singleflight
-// collapse, shared read-only results, WithCacheReport — under keys
-// disjoint from Recommend's (the two answer shapes never alias).
+// collapse, shared read-only results, the Trace's Cache hook — under
+// keys disjoint from Recommend's (the two answer shapes never alias).
 func (e *Engine) Pareto(ctx context.Context, req Request) ([]OptionCard, error) {
-	req = e.normalize(req)
+	req = normalize(req)
 	if e.cache == nil {
 		return e.pareto(ctx, req)
 	}

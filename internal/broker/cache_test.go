@@ -2,12 +2,17 @@ package broker
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"uptimebroker/internal/availability"
 	"uptimebroker/internal/catalog"
+	"uptimebroker/internal/obs"
+	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/topology"
 )
@@ -39,7 +44,7 @@ func newCachedTestEngine(t *testing.T, cfg reccache.Config) (*Engine, *countingP
 
 func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	e := newTestEngine(t)
-	base := e.normalize(CaseStudy())
+	base := normalize(CaseStudy())
 	baseKey := e.cacheKey("recommend", base)
 
 	// Allowed-techs list order and duplicates must not move the key.
@@ -52,7 +57,7 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 		}
 		shuffled.AllowedTechs[name] = rev
 	}
-	if got := e.cacheKey("recommend", e.normalize(shuffled)); got != baseKey {
+	if got := e.cacheKey("recommend", normalize(shuffled)); got != baseKey {
 		t.Fatal("allowed-techs order/duplication changed the cache key")
 	}
 
@@ -62,7 +67,7 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	for i := range explicit.Base.Components {
 		explicit.Base.Components[i].Class = explicit.Base.Components[i].EffectiveClass()
 	}
-	if got := e.cacheKey("recommend", e.normalize(explicit)); got != baseKey {
+	if got := e.cacheKey("recommend", normalize(explicit)); got != baseKey {
 		t.Fatal("explicit default class changed the cache key")
 	}
 
@@ -72,10 +77,10 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	delete(missing.AsIs, "compute")
 	explicitBaseline := CaseStudy()
 	explicitBaseline.AsIs["compute"] = ""
-	if e.cacheKey("recommend", e.normalize(missing)) != e.cacheKey("recommend", e.normalize(explicitBaseline)) {
+	if e.cacheKey("recommend", normalize(missing)) != e.cacheKey("recommend", normalize(explicitBaseline)) {
 		t.Fatal("explicit baseline as-is entry should hash like a missing entry")
 	}
-	if e.cacheKey("recommend", e.normalize(missing)) == baseKey {
+	if e.cacheKey("recommend", normalize(missing)) == baseKey {
 		t.Fatal("dropping a real as-is entry should change the key")
 	}
 
@@ -85,9 +90,109 @@ func TestCacheKeyIgnoresNonSemanticSpellings(t *testing.T) {
 	unrestricted.AllowedTechs = nil
 	emptyAllowed := CaseStudy()
 	emptyAllowed.AllowedTechs = map[string][]string{}
-	if e.cacheKey("recommend", e.normalize(unrestricted)) != e.cacheKey("recommend", e.normalize(emptyAllowed)) {
+	if e.cacheKey("recommend", normalize(unrestricted)) != e.cacheKey("recommend", normalize(emptyAllowed)) {
 		t.Fatal("empty allowed-techs map should hash like an absent one")
 	}
+}
+
+// FuzzRequestSpelling generalizes TestCacheKeyIgnoresNonSemanticSpellings:
+// for any strategy string and allowed-techs list, normalize never
+// panics and every equivalent spelling shares one cache key — the
+// strategy spelled flat, nested or in both fields ("" and "auto"
+// interchangeably), allowed-techs lists permuted and duplicated, an
+// empty allowed-techs map for an absent one, and as-is entries naming
+// the baseline for missing ones. A budget knob always moves the key.
+func FuzzRequestSpelling(f *testing.F) {
+	f.Add("", uint8(0), "", uint64(0), uint8(0), int64(0))
+	f.Add("auto", uint8(4), "esx-ha", uint64(1), uint8(1), int64(1))
+	f.Add(optimize.StrategyBeam, uint8(2), "b,a,b,c", uint64(3), uint8(7), int64(-5))
+	f.Add(optimize.StrategyPruned, uint8(9), ",,x", uint64(1<<40), uint8(2), int64(1e9))
+	e := newTestEngine(f)
+	f.Fuzz(func(t *testing.T, strategy string, spelling uint8, techs string, shuffle uint64, baseline uint8, budget int64) {
+		canonical := CaseStudy()
+		canonical.Strategy = strategy
+		canonical.AllowedTechs = nil
+		respelled := CaseStudy()
+		respelled.AllowedTechs = nil
+
+		// Strategy: flat (0), nested (1) or both fields (2, 3); bit 2
+		// swaps "" and "auto", which both mean the heuristic's pick.
+		s := strategy
+		if spelling&4 != 0 {
+			switch s {
+			case "":
+				s = optimize.StrategyAuto
+			case optimize.StrategyAuto:
+				s = ""
+			}
+		}
+		switch spelling & 3 {
+		case 0:
+			respelled.Strategy = s
+		case 1:
+			respelled.Solver.Strategy = s
+		default:
+			respelled.Strategy, respelled.Solver.Strategy = s, s
+		}
+
+		// Allowed techs: no list is an absent map on one side and an
+		// empty one on the other (bit 3 picks which); otherwise the
+		// respelled list is a rotation of the canonical one, reversed
+		// when shuffle is odd, with every entry duplicated.
+		if techs == "" {
+			if spelling&8 != 0 {
+				canonical.AllowedTechs = map[string][]string{}
+			} else {
+				respelled.AllowedTechs = map[string][]string{}
+			}
+		} else {
+			ids := strings.Split(techs, ",")
+			var perm []string
+			n := uint64(len(ids))
+			for i := range ids {
+				id := ids[(uint64(i)+shuffle%n)%n]
+				perm = append(perm, id, id)
+			}
+			if shuffle%2 == 1 {
+				slices.Reverse(perm)
+			}
+			canonical.AllowedTechs = map[string][]string{"compute": ids}
+			respelled.AllowedTechs = map[string][]string{"compute": perm}
+		}
+
+		// As-is: a component missing from the canonical plan is an
+		// explicit baseline ("") entry in the respelled one.
+		for i, c := range canonical.Base.Components {
+			if baseline&(1<<i) != 0 {
+				delete(canonical.AsIs, c.Name)
+				respelled.AsIs[c.Name] = ""
+			}
+		}
+
+		key := e.cacheKey("recommend", normalize(canonical))
+		if got := e.cacheKey("recommend", normalize(respelled)); got != key {
+			t.Fatalf("equivalent spellings hash apart:\n%+v\n%+v", canonical, respelled)
+		}
+		if got := e.cacheKey("recommend", normalize(normalize(canonical))); got != key {
+			t.Fatal("normalize is not idempotent")
+		}
+
+		// Contradicting spellings are left for Validate; normalize
+		// must still not panic on them.
+		contradiction := canonical
+		contradiction.Solver.Strategy = techs
+		normalize(contradiction)
+
+		if budget != 0 {
+			for _, b := range []optimize.Budget{{MaxEvaluations: budget}, {Wall: time.Duration(budget)}} {
+				budgeted := respelled
+				budgeted.Solver.Budget = b
+				if e.cacheKey("recommend", normalize(budgeted)) == key {
+					t.Fatalf("budget %+v shares the unbudgeted key", b)
+				}
+			}
+		}
+	})
 }
 
 func TestCacheKeySeparatesSemanticDifferences(t *testing.T) {
@@ -103,35 +208,35 @@ func TestCacheKeySeparatesSemanticDifferences(t *testing.T) {
 		keys[label] = key
 	}
 	base := CaseStudy()
-	add("base", e.cacheKey("recommend", e.normalize(base)))
-	add("pareto kind", e.cacheKey("pareto", e.normalize(base)))
+	add("base", e.cacheKey("recommend", normalize(base)))
+	add("pareto kind", e.cacheKey("pareto", normalize(base)))
 
 	sla := CaseStudy()
 	sla.SLA.UptimePercent += 0.5
-	add("sla", e.cacheKey("recommend", e.normalize(sla)))
+	add("sla", e.cacheKey("recommend", normalize(sla)))
 
 	strat := CaseStudy()
 	strat.Strategy = "exhaustive"
-	add("strategy", e.cacheKey("recommend", e.normalize(strat)))
+	add("strategy", e.cacheKey("recommend", normalize(strat)))
 
 	// nil as-is (no incumbent) and empty as-is (all-baseline
 	// incumbent) are different requests with different answers.
 	noAsIs := CaseStudy()
 	noAsIs.AsIs = nil
-	add("nil as-is", e.cacheKey("recommend", e.normalize(noAsIs)))
+	add("nil as-is", e.cacheKey("recommend", normalize(noAsIs)))
 	emptyAsIs := CaseStudy()
 	emptyAsIs.AsIs = Plan{}
-	add("empty as-is", e.cacheKey("recommend", e.normalize(emptyAsIs)))
+	add("empty as-is", e.cacheKey("recommend", normalize(emptyAsIs)))
 
 	// Component order is semantic: it defines presentation order.
 	swapped := CaseStudy()
 	swapped.Base.Components = append([]topology.Component(nil), swapped.Base.Components...)
 	swapped.Base.Components[0], swapped.Base.Components[1] = swapped.Base.Components[1], swapped.Base.Components[0]
-	add("component order", e.cacheKey("recommend", e.normalize(swapped)))
+	add("component order", e.cacheKey("recommend", normalize(swapped)))
 
 	// A catalog mutation must change every key.
 	e.catalog.Invalidate()
-	add("epoch bump", e.cacheKey("recommend", e.normalize(base)))
+	add("epoch bump", e.cacheKey("recommend", normalize(base)))
 }
 
 func TestRecommendCacheHitSkipsSearch(t *testing.T) {
@@ -139,9 +244,9 @@ func TestRecommendCacheHitSkipsSearch(t *testing.T) {
 	req := CaseStudy()
 
 	var statuses []string
-	ctx := WithCacheReport(context.Background(), func(status string) {
+	ctx := traced(obs.Trace{Cache: func(status string) {
 		statuses = append(statuses, status)
-	})
+	}})
 
 	first, err := e.Recommend(ctx, req)
 	if err != nil {
@@ -191,7 +296,7 @@ func TestParetoCacheIsDisjointFromRecommend(t *testing.T) {
 		t.Fatal(err)
 	}
 	var status string
-	ctx := WithCacheReport(context.Background(), func(s string) { status = s })
+	ctx := traced(obs.Trace{Cache: func(s string) { status = s }})
 	front, err := e.Pareto(ctx, req)
 	if err != nil {
 		t.Fatalf("Pareto: %v", err)
@@ -261,7 +366,7 @@ func TestConcurrentBurstRunsOneSearch(t *testing.T) {
 func TestUncachedEngineStillRecommends(t *testing.T) {
 	e := newTestEngine(t)
 	fired := false
-	ctx := WithCacheReport(context.Background(), func(string) { fired = true })
+	ctx := traced(obs.Trace{Cache: func(string) { fired = true }})
 	if _, err := e.Recommend(ctx, CaseStudy()); err != nil {
 		t.Fatal(err)
 	}

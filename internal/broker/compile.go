@@ -28,7 +28,7 @@ type compiled struct {
 // technology of the component's layer, with cluster parameters drawn
 // from the parameter source and prices from the provider's rate card.
 func (e *Engine) Compile(req Request) (*optimize.Problem, error) {
-	c, err := e.compile(e.normalize(req))
+	c, err := e.compile(normalize(req))
 	if err != nil {
 		return nil, err
 	}

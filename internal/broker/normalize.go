@@ -29,13 +29,12 @@ import (
 //     entry already means "no HA" (nil AsIs stays nil — no incumbent
 //     at all is a different request than an all-baseline incumbent),
 //   - the solver spec is canonicalized to one spelling: the deprecated
-//     flat Strategy and the nested Solver.Strategy are merged (nested
-//     wins when both are set; Validate has already rejected real
-//     contradictions), resolved through the engine default down to
-//     "auto", and written back to BOTH fields — downstream code and
-//     the cache key see a single spelling no matter which alias the
-//     caller used.
-func (e *Engine) normalize(req Request) Request {
+//     flat Strategy and the nested Solver.Strategy are merged (they
+//     agree when both are set: contradictions are left for Validate to
+//     reject), an unnamed strategy becomes "auto", and the result is
+//     written back to BOTH fields — downstream code and the cache key
+//     see a single spelling no matter which alias the caller used.
+func normalize(req Request) Request {
 	if len(req.AllowedTechs) == 0 {
 		req.AllowedTechs = nil
 	} else {
@@ -78,9 +77,6 @@ func (e *Engine) normalize(req Request) Request {
 	}
 	if req.Solver.Strategy == "" {
 		req.Solver.Strategy = req.Strategy
-	}
-	if req.Solver.Strategy == "" {
-		req.Solver.Strategy = e.defaultStrategy
 	}
 	if req.Solver.Strategy == "" {
 		req.Solver.Strategy = "auto"

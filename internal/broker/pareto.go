@@ -2,7 +2,6 @@ package broker
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -144,12 +143,7 @@ func (e *Engine) pareto(ctx context.Context, req Request) ([]OptionCard, error) 
 			return nil
 		}
 	}
-	if autoParallelPricing(runtime.GOMAXPROCS(0), c.problem.SpaceSize()) {
-		err = c.problem.ParallelStreamContext(ctx, 0, fork)
-	} else {
-		err = c.problem.StreamContext(ctx, fork())
-	}
-	if err != nil {
+	if err := streamPricing(ctx, c.problem, fork); err != nil {
 		return nil, err
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"uptimebroker/internal/catalog"
 	"uptimebroker/internal/cost"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 )
 
@@ -133,12 +134,12 @@ func TestRecommendCombinedProgress(t *testing.T) {
 	var mu sync.Mutex
 	var evals []int64
 	var spaces []int64
-	ctx := WithSearchProgress(context.Background(), func(evaluated, spaceSize int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, spaceSize int64) {
 		mu.Lock()
 		defer mu.Unlock()
 		evals = append(evals, evaluated)
 		spaces = append(spaces, spaceSize)
-	})
+	}})
 	rec, err := e.Recommend(ctx, req)
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
@@ -159,5 +160,34 @@ func TestRecommendCombinedProgress(t *testing.T) {
 	}
 	if final := evals[len(evals)-1]; final != combined {
 		t.Fatalf("final progress = %d, want %d", final, combined)
+	}
+}
+
+// TestProgressRescopingKeepsOtherHooks: splitProgress then
+// doubleProgress re-scope only Progress; the caller's Strategy and
+// Cache hooks reach the innermost context untouched, and the nested
+// Progress maps onto the caller's combined 2·space bar.
+func TestProgressRescopingKeepsOtherHooks(t *testing.T) {
+	const space = 8
+	var progress [][2]int64
+	var strategy, cache string
+	ctx := traced(obs.Trace{
+		Progress: func(done, total int64) { progress = append(progress, [2]int64{done, total}) },
+		Strategy: func(s string) { strategy = s },
+		Cache:    func(s string) { cache = s },
+	})
+	pricing, solver := splitProgress(ctx, space)
+	inner := obs.TraceFrom(doubleProgress(pricing, space))
+	inner.Strategy("pruned")
+	inner.Cache("miss")
+	inner.Progress(3, space)
+	obs.TraceFrom(doubleProgress(solver, space)).Progress(2, space)
+
+	if strategy != "pruned" || cache != "miss" {
+		t.Fatalf("inherited hooks heard strategy %q, cache %q; want pruned, miss", strategy, cache)
+	}
+	want := [][2]int64{{6, 2 * space}, {space + 4, 2 * space}}
+	if len(progress) != len(want) || progress[0] != want[0] || progress[1] != want[1] {
+		t.Fatalf("progress reports %v, want %v", progress, want)
 	}
 }

@@ -3,11 +3,11 @@ package broker
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"uptimebroker/internal/cost"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 )
 
@@ -94,26 +94,15 @@ func (c OptionCard) Plan() Plan {
 	return p
 }
 
-// WithSearchProgress attaches a live search-progress hook to the
-// context: the enumeration loops underneath Recommend and Pareto
-// report (candidates accounted for, total work) through it on a fixed
-// cadence. Recommend runs two passes — full pricing for the option
-// cards, then the selected solver for the effort statistics — and
-// reports them as one combined space of 2·k^n: the pricing pass
-// covers [0, k^n], the solver pass [k^n, 2·k^n], each clamped to its
-// half, so the bar advances monotonically from zero to done instead
-// of double-counting the space per pass. Parallel passes may invoke
-// the hook concurrently.
-func WithSearchProgress(ctx context.Context, fn func(evaluated, spaceSize int64)) context.Context {
-	return optimize.WithProgress(ctx, fn)
-}
-
-// splitProgress re-scopes a caller's WithSearchProgress hook over
-// Recommend's two passes: both returned contexts report into one
-// combined, monotone space of 2·space (pricing first half, solver
-// second half). Without a hook on ctx both passes run on ctx itself.
+// splitProgress re-scopes the context Trace's Progress hook over
+// Recommend's two passes — full pricing for the option cards, then the
+// selected solver for the effort statistics — as one combined,
+// monotone space of 2·space: the pricing pass covers [0, space], the
+// solver pass [space, 2·space], each clamped to its half, so the bar
+// advances from zero to done once instead of double-counting the space
+// per pass. Without a Progress hook both passes run on ctx itself.
 func splitProgress(ctx context.Context, space int64) (pricing, solver context.Context) {
-	fn := optimize.ContextProgress(ctx)
+	fn := obs.TraceFrom(ctx).Progress
 	if fn == nil {
 		return ctx, ctx
 	}
@@ -138,38 +127,29 @@ func splitProgress(ctx context.Context, space int64) (pricing, solver context.Co
 		}
 		return done
 	}
-	pricing = optimize.WithProgress(ctx, func(done, _ int64) { report(clamp(done)) })
-	solver = optimize.WithProgress(ctx, func(done, _ int64) { report(space + clamp(done)) })
+	pricing = obs.WithTrace(ctx, obs.Trace{Progress: func(done, _ int64) { report(clamp(done)) }})
+	solver = obs.WithTrace(ctx, obs.Trace{Progress: func(done, _ int64) { report(space + clamp(done)) }})
 	return pricing, solver
 }
 
-// doubleProgress re-scopes a caller's WithSearchProgress hook over the
+// doubleProgress re-scopes the context Trace's Progress hook over the
 // fused single-pass Recommend: the one streaming enumeration covers
 // both halves of the combined 2·space bar (each candidate is priced
 // and searched at once), so reports scale by two and watchers see the
 // same space and completion point as the two-pass shape.
 func doubleProgress(ctx context.Context, space int64) context.Context {
-	fn := optimize.ContextProgress(ctx)
+	fn := obs.TraceFrom(ctx).Progress
 	if fn == nil {
 		return ctx
 	}
 	total := 2 * space
-	return optimize.WithProgress(ctx, func(done, _ int64) {
+	return obs.WithTrace(ctx, obs.Trace{Progress: func(done, _ int64) {
 		d := 2 * done
 		if d > total {
 			d = total
 		}
 		fn(d, total)
-	})
-}
-
-// WithStrategyReport attaches a hook that hears which concrete solver
-// strategy the search resolved to — for "auto" requests, the strategy
-// the heuristic picked. It fires once per solver pass, before the
-// enumeration starts, which is how the async job surface echoes the
-// choice into live progress.
-func WithStrategyReport(ctx context.Context, fn func(strategy string)) context.Context {
-	return optimize.WithStrategyReport(ctx, fn)
+	}})
 }
 
 // SearchStats reports how much work the Section III.C search saved
@@ -329,9 +309,7 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 	if err != nil {
 		return nil, err
 	}
-	cfg := req.Solver
-	cfg.Strategy = e.strategyFor(req)
-	resolved, err := optimize.ResolveConfig(c.problem, cfg)
+	resolved, err := optimize.ResolveConfig(c.problem, req.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -386,13 +364,6 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 			return nil
 		}
 	}
-	runPricing := func(pctx context.Context) error {
-		if autoParallelPricing(runtime.GOMAXPROCS(0), space) {
-			return c.problem.ParallelStreamContext(pctx, 0, fork)
-		}
-		return c.problem.StreamContext(pctx, fork())
-	}
-
 	rec := &Recommendation{
 		System:   req.Base.Name,
 		Provider: req.Base.Provider,
@@ -401,7 +372,7 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 		Search:   SearchStats{SpaceSize: space},
 	}
 
-	fused := resolved == optimize.StrategyExhaustive && cfg.Budget.IsZero()
+	fused := resolved == optimize.StrategyExhaustive && req.Solver.Budget.IsZero()
 	if fused {
 		// Fused: the exhaustive search is the pricing pass, so one
 		// streaming enumeration serves both and its statistics are
@@ -410,18 +381,20 @@ func (e *Engine) recommend(ctx context.Context, req Request) (*Recommendation, e
 		// hears the resolved choice. A budgeted run takes the two-pass
 		// shape instead, so SolveConfig owns the budget semantics
 		// (deadline for exact strategies, refusal of an evaluation cap).
-		optimize.ReportStrategy(ctx, resolved)
-		if err := runPricing(doubleProgress(ctx, int64(space))); err != nil {
+		if fn := obs.TraceFrom(ctx).Strategy; fn != nil {
+			fn(resolved)
+		}
+		if err := streamPricing(doubleProgress(ctx, int64(space)), c.problem, fork); err != nil {
 			return nil, err
 		}
 		rec.Search.Evaluated = space
 		rec.Search.Strategy = resolved
 	} else {
 		pricingCtx, solverCtx := splitProgress(ctx, int64(space))
-		if err := runPricing(pricingCtx); err != nil {
+		if err := streamPricing(pricingCtx, c.problem, fork); err != nil {
 			return nil, err
 		}
-		searched, err := optimize.SolveConfig(solverCtx, c.problem, cfg)
+		searched, err := optimize.SolveConfig(solverCtx, c.problem, req.Solver)
 		if err != nil {
 			return nil, err
 		}

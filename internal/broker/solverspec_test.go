@@ -29,20 +29,20 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 	both.Strategy = optimize.StrategyBeam
 	both.Solver.Strategy = optimize.StrategyBeam
 
-	flatKey := e.cacheKey("recommend", e.normalize(flat))
+	flatKey := e.cacheKey("recommend", normalize(flat))
 	for name, req := range map[string]Request{"nested": nested, "both": both} {
-		if key := e.cacheKey("recommend", e.normalize(req)); key != flatKey {
+		if key := e.cacheKey("recommend", normalize(req)); key != flatKey {
 			t.Fatalf("%s spelling hashed to %s, flat spelling to %s — aliases must share one address", name, key, flatKey)
 		}
 	}
 
-	// A zero-knob nested spec must also leave the default-strategy
+	// A zero-knob nested spec must also leave the plain request's
 	// address untouched (the key tail is only appended when a knob is
 	// set), so every pre-PR cache entry stays reachable.
-	plain := e.cacheKey("recommend", e.normalize(CaseStudy()))
+	plain := e.cacheKey("recommend", normalize(CaseStudy()))
 	zeroSpec := CaseStudy()
 	zeroSpec.Solver = optimize.SolverConfig{}
-	if key := e.cacheKey("recommend", e.normalize(zeroSpec)); key != plain {
+	if key := e.cacheKey("recommend", normalize(zeroSpec)); key != plain {
 		t.Fatal("zero nested spec moved the cache address of the default request")
 	}
 
@@ -51,13 +51,13 @@ func TestSolverSpecAliasesShareCacheAddress(t *testing.T) {
 	budgeted := CaseStudy()
 	budgeted.Solver.Strategy = optimize.StrategyBeam
 	budgeted.Solver.Budget.MaxEvaluations = 4
-	if key := e.cacheKey("recommend", e.normalize(budgeted)); key == flatKey {
+	if key := e.cacheKey("recommend", normalize(budgeted)); key == flatKey {
 		t.Fatal("budgeted request aliases the unbudgeted cache entry")
 	}
 	widened := CaseStudy()
 	widened.Solver.Strategy = optimize.StrategyBeam
 	widened.Solver.BeamWidth = 2
-	if key := e.cacheKey("recommend", e.normalize(widened)); key == flatKey {
+	if key := e.cacheKey("recommend", normalize(widened)); key == flatKey {
 		t.Fatal("beam-width request aliases the default-width cache entry")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uptimebroker/internal/cost"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 )
 
@@ -95,7 +96,7 @@ func TestRecommendFusedExhaustiveMatchesTwoPass(t *testing.T) {
 
 	// The fused pass still reports the resolved strategy to hooks.
 	var reported string
-	ctx := WithStrategyReport(context.Background(), func(s string) { reported = s })
+	ctx := traced(obs.Trace{Strategy: func(s string) { reported = s }})
 	if _, err := e.Recommend(ctx, fusedReq); err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +125,10 @@ func TestParetoProgressSinglePass(t *testing.T) {
 	req := CaseStudy()
 
 	var evals, spaces []int64
-	ctx := WithSearchProgress(context.Background(), func(evaluated, spaceSize int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, spaceSize int64) {
 		evals = append(evals, evaluated)
 		spaces = append(spaces, spaceSize)
-	})
+	}})
 	if _, err := e.Pareto(ctx, req); err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,6 @@ type Client struct {
 	retries  int
 	backoff  time.Duration
 	pollBase time.Duration
-	solver   *SolverConfigDTO
 }
 
 // ClientOption customizes NewClient.
@@ -107,60 +106,6 @@ func WithPollInterval(d time.Duration) ClientOption {
 			c.pollBase = d
 		}
 	}
-}
-
-// WithSolverConfig sets a default solver specification stamped onto
-// every outgoing recommendation-type request (Recommend, Pareto,
-// SubmitJob, RecommendBatch) that does not make any solver choice
-// itself. A request naming a strategy — flat or nested — or carrying
-// its own solver object is sent untouched; the server default remains
-// "auto" with no limits.
-func WithSolverConfig(cfg SolverConfigDTO) ClientOption {
-	return func(c *Client) { c.solver = &cfg }
-}
-
-// WithBudget sets a default anytime budget — a wall-clock cap and/or
-// an evaluation cap, zero meaning unlimited — merged into the
-// client's default solver spec. Composes with WithStrategy and
-// WithSolverConfig in any order (later strategy options keep the
-// budget, and vice versa).
-func WithBudget(wall time.Duration, maxEvaluations int64) ClientOption {
-	return func(c *Client) {
-		if c.solver == nil {
-			c.solver = &SolverConfigDTO{}
-		}
-		c.solver.BudgetMS = wall.Milliseconds()
-		c.solver.MaxEvaluations = maxEvaluations
-	}
-}
-
-// WithStrategy sets a default solver strategy stamped onto every
-// outgoing recommendation-type request that does not make a solver
-// choice itself. It delegates to the same default spec as
-// WithSolverConfig and WithBudget, so the three compose. A
-// per-request strategy always wins; the server default remains
-// "auto".
-func WithStrategy(strategy string) ClientOption {
-	return func(c *Client) {
-		if c.solver == nil {
-			c.solver = &SolverConfigDTO{}
-		}
-		c.solver.Strategy = strategy
-	}
-}
-
-// withDefaults returns req with the client's default solver spec
-// applied where the request leaves the choice open. The default
-// applies wholesale or not at all: a request that names
-// a flat strategy or carries any nested spec already made its choice,
-// and half-merging a client budget under it would change semantics the
-// caller spelled out.
-func (c *Client) withDefaults(req RecommendationRequest) RecommendationRequest {
-	if req.Strategy == "" && req.Solver == nil && c.solver != nil {
-		cfg := *c.solver
-		req.Solver = &cfg
-	}
-	return req
 }
 
 // NewClient builds a client for the given base URL (for example
@@ -227,8 +172,16 @@ func (c *Client) MetricsSnapshot(ctx context.Context) (obs.Snapshot, error) {
 // — same contract as WaitJob's progress streaming. interval <= 0 uses
 // the server's default cadence.
 func (c *Client) WatchMetrics(ctx context.Context, interval time.Duration, fn func(obs.Snapshot)) error {
+	path := "/v2/metrics/events"
+	if interval > 0 {
+		path += "?interval=" + url.QueryEscape(interval.String())
+	}
 	for {
-		if handled, err := c.streamMetrics(ctx, interval, fn); handled {
+		handled, err := readEvents(ctx, c, path, func(snap obs.Snapshot) (bool, error) {
+			fn(snap)
+			return false, nil
+		})
+		if handled {
 			return err
 		}
 		// SSE unavailable: poll once, then retry the stream — a server
@@ -250,14 +203,16 @@ func (c *Client) WatchMetrics(ctx context.Context, interval time.Duration, fn fu
 	}
 }
 
-// streamMetrics consumes the SSE metrics stream. handled=false means
-// the caller should fall back to polling.
-func (c *Client) streamMetrics(ctx context.Context, interval time.Duration, fn func(obs.Snapshot)) (handled bool, err error) {
-	path := c.baseURL + "/v2/metrics/events"
-	if interval > 0 {
-		path += "?interval=" + url.QueryEscape(interval.String())
-	}
-	req, reqErr := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
+// readEvents consumes GET path as Server-Sent Events, decoding each
+// event's data into a T for onEvent; onEvent returns done=true to end
+// the stream with its error. handled reports whether the stream
+// answered the call: false, always with a nil error, means the caller
+// should fall back to polling — the request could not be sent, the
+// server did not answer with an event stream, an event failed to
+// decode, or the stream ended early (server restart, proxy timeout).
+// Context cancellation is final: handled with ctx.Err().
+func readEvents[T any](ctx context.Context, c *Client, path string, onEvent func(T) (done bool, err error)) (handled bool, err error) {
+	req, reqErr := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+path, nil)
 	if reqErr != nil {
 		return false, nil
 	}
@@ -274,6 +229,8 @@ func (c *Client) streamMetrics(ctx context.Context, interval time.Duration, fn f
 		_ = resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		// 404s, problems and polling-fallback JSON all route through
+		// the polling path for a properly typed error.
 		return false, nil
 	}
 
@@ -286,26 +243,26 @@ func (c *Client) streamMetrics(ctx context.Context, interval time.Duration, fn f
 		case strings.HasPrefix(line, "data:"):
 			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
 		case line == "" && len(data) > 0:
-			var snap obs.Snapshot
-			if jsonErr := json.Unmarshal(data, &snap); jsonErr != nil {
+			var ev T
+			if jsonErr := json.Unmarshal(data, &ev); jsonErr != nil {
 				return false, nil
 			}
 			data = data[:0]
-			fn(snap)
+			if done, err := onEvent(ev); done {
+				return true, err
+			}
 		}
 	}
 	if ctx.Err() != nil {
 		return true, ctx.Err()
 	}
-	// Stream ended without cancellation (server restart, proxy
-	// timeout): resume by polling.
 	return false, nil
 }
 
 // Recommend submits a synchronous recommendation request.
 func (c *Client) Recommend(ctx context.Context, req RecommendationRequest) (RecommendationResponse, error) {
 	var out RecommendationResponse
-	err := c.do(ctx, http.MethodPost, "/v1/recommendations", c.withDefaults(req), &out)
+	err := c.do(ctx, http.MethodPost, "/v1/recommendations", req, &out)
 	return out, err
 }
 
@@ -313,7 +270,7 @@ func (c *Client) Recommend(ctx context.Context, req RecommendationRequest) (Reco
 // cards.
 func (c *Client) Pareto(ctx context.Context, req RecommendationRequest) ([]OptionCardDTO, error) {
 	var out []OptionCardDTO
-	err := c.do(ctx, http.MethodPost, "/v1/pareto", c.withDefaults(req), &out)
+	err := c.do(ctx, http.MethodPost, "/v1/pareto", req, &out)
 	return out, err
 }
 
@@ -426,7 +383,7 @@ func (j JobStatus) ParetoFront() ([]OptionCardDTO, error) {
 // returns its queued status immediately.
 func (c *Client) SubmitJob(ctx context.Context, kind string, req RecommendationRequest) (JobStatus, error) {
 	var out JobStatus
-	err := c.do(ctx, http.MethodPost, "/v2/jobs", JobRequest{Kind: kind, Request: c.withDefaults(req)}, &out)
+	err := c.do(ctx, http.MethodPost, "/v2/jobs", JobRequest{Kind: kind, Request: req}, &out)
 	return out, err
 }
 
@@ -515,8 +472,23 @@ func (c *Client) WaitJob(ctx context.Context, id string, opts ...WaitOption) (Jo
 		opt(&cfg)
 	}
 	if cfg.onProgress != nil {
-		if status, handled, err := c.streamJob(ctx, id, cfg.onProgress); handled {
-			return status, err
+		var final JobStatus
+		handled, err := readEvents(ctx, c, "/v2/jobs/"+url.PathEscape(id)+"/events", func(st JobStatus) (bool, error) {
+			cfg.onProgress(progressOf(st))
+			if !st.Terminal() {
+				return false, nil
+			}
+			// Stream events never carry the result payload; fetch the
+			// full job document now that it is final.
+			var err error
+			final, err = c.GetJob(ctx, id)
+			return true, err
+		})
+		if handled {
+			if err != nil {
+				return JobStatus{}, err
+			}
+			return final, nil
 		}
 		// SSE unavailable (older server, buffering proxy, transport
 		// error mid-stream): degrade to polling below.
@@ -552,70 +524,6 @@ func (c *Client) WaitJob(ctx context.Context, id string, opts ...WaitOption) (Jo
 			}
 		}
 	}
-}
-
-// streamJob consumes GET /v2/jobs/{id}/events as Server-Sent Events.
-// handled reports whether the stream answered the wait; false means
-// the caller should fall back to polling (it is returned with a nil
-// error for transport-level trouble, so the fallback decides what the
-// client ultimately sees).
-func (c *Client) streamJob(ctx context.Context, id string, onProgress func(JobProgress)) (status JobStatus, handled bool, err error) {
-	req, reqErr := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v2/jobs/"+url.PathEscape(id)+"/events", nil)
-	if reqErr != nil {
-		return JobStatus{}, false, nil
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, doErr := c.http.Do(req)
-	if doErr != nil {
-		// Context cancellation is final; other transport errors fall
-		// back to polling.
-		if ctx.Err() != nil {
-			return JobStatus{}, true, ctx.Err()
-		}
-		return JobStatus{}, false, nil
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		// 404s, problems and polling-fallback JSON all route through
-		// GetJob for a properly typed error.
-		return JobStatus{}, false, nil
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		case line == "" && len(data) > 0:
-			var st JobStatus
-			if jsonErr := json.Unmarshal(data, &st); jsonErr != nil {
-				return JobStatus{}, false, nil
-			}
-			data = data[:0]
-			onProgress(progressOf(st))
-			if st.Terminal() {
-				// Stream events never carry the result payload; fetch
-				// the full job document now that it is final.
-				full, getErr := c.GetJob(ctx, id)
-				if getErr != nil {
-					return JobStatus{}, true, getErr
-				}
-				return full, true, nil
-			}
-		}
-	}
-	if ctx.Err() != nil {
-		return JobStatus{}, true, ctx.Err()
-	}
-	// Stream ended without a terminal event (server restarted, proxy
-	// timeout): resume by polling.
-	return JobStatus{}, false, nil
 }
 
 // ListOption narrows a ListJobs call.
@@ -662,12 +570,8 @@ func (c *Client) ListJobs(ctx context.Context, opts ...ListOption) ([]JobStatus,
 // them out across its worker pool. Per-item failures appear on the
 // corresponding result entries, not as a call error.
 func (c *Client) RecommendBatch(ctx context.Context, reqs []RecommendationRequest) (BatchResponse, error) {
-	stamped := make([]RecommendationRequest, len(reqs))
-	for i, req := range reqs {
-		stamped[i] = c.withDefaults(req)
-	}
 	var out BatchResponse
-	err := c.do(ctx, http.MethodPost, "/v2/recommendations/batch", BatchRequest{Requests: stamped}, &out)
+	err := c.do(ctx, http.MethodPost, "/v2/recommendations/batch", BatchRequest{Requests: reqs}, &out)
 	return out, err
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"uptimebroker/internal/broker"
 	"uptimebroker/internal/catalog"
-	"uptimebroker/internal/jobs"
 	"uptimebroker/internal/jobstore"
 	"uptimebroker/internal/telemetry"
 )
@@ -169,8 +168,8 @@ func TestJobEventsSSE(t *testing.T) {
 	finish := make(chan struct{})
 	snap, err := srv.jobs.Submit("recommend", nil, func(ctx context.Context) (any, error) {
 		<-attached
-		jobs.ReportProgress(ctx, 2048, 8192)
-		jobs.ReportProgress(ctx, 8192, 8192)
+		reportProgress(ctx, 2048, 8192)
+		reportProgress(ctx, 8192, 8192)
 		<-finish
 		return map[string]int{"best_option": 1}, nil
 	})

@@ -495,10 +495,10 @@ func (s *Server) markDegraded(w http.ResponseWriter) {
 // fires, the header stays absent and the captured status empty.
 func cacheStatusContext(w http.ResponseWriter, r *http.Request) (context.Context, *string) {
 	status := new(string)
-	ctx := broker.WithCacheReport(r.Context(), func(st string) {
+	ctx := obs.WithTrace(r.Context(), obs.Trace{Cache: func(st string) {
 		*status = st
 		w.Header().Set("X-Cache", st)
-	})
+	}})
 	return ctx, status
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"uptimebroker/internal/optimize"
 )
@@ -245,49 +244,5 @@ func TestJobCarriesSolverSpec(t *testing.T) {
 	}
 	if rec.Search.Strategy != optimize.StrategyBeam || !rec.Search.Approximate {
 		t.Fatalf("job result search stats %+v, want an approximate beam run", rec.Search)
-	}
-}
-
-// TestClientSolverOptions: WithSolverConfig, WithBudget and the
-// delegating WithStrategy compose into one default spec, applied only
-// when a request makes no solver choice of its own.
-func TestClientSolverOptions(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	client, err := NewClient(ts.URL, ts.Client(),
-		WithStrategy(optimize.StrategyBeam),
-		WithBudget(time.Minute, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	resp, err := client.Recommend(ctx, caseStudyWire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Search.Strategy != optimize.StrategyBeam || !resp.Search.Approximate {
-		t.Fatalf("client solver default not applied: %+v", resp.Search)
-	}
-
-	// A per-request choice — even the deprecated flat spelling — wins
-	// wholesale over the client default.
-	req := caseStudyWire()
-	req.Strategy = optimize.StrategyPruned
-	resp, err = client.Recommend(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Search.Strategy != optimize.StrategyPruned || resp.Search.Approximate {
-		t.Fatalf("per-request flat strategy lost to the client default: %+v", resp.Search)
-	}
-
-	nested := caseStudyWire()
-	nested.Solver = &SolverConfigDTO{Strategy: optimize.StrategyLDS}
-	resp, err = client.Recommend(ctx, nested)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Search.Strategy != optimize.StrategyLDS {
-		t.Fatalf("per-request nested strategy lost to the client default: %+v", resp.Search)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"uptimebroker/internal/jobs"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 )
 
@@ -104,43 +104,6 @@ func TestJobEchoesStrategy(t *testing.T) {
 	}
 }
 
-// TestClientDefaultStrategy: WithStrategy stamps outgoing requests
-// that leave the choice open; explicit per-request strategies win.
-func TestClientDefaultStrategy(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	client, err := NewClient(ts.URL, ts.Client(), WithStrategy(optimize.StrategyExhaustive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	resp, err := client.Recommend(ctx, caseStudyWire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Search.Strategy != optimize.StrategyExhaustive {
-		t.Fatalf("client default not applied: echoed %q", resp.Search.Strategy)
-	}
-
-	req := caseStudyWire()
-	req.Strategy = optimize.StrategyPruned
-	resp, err = client.Recommend(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Search.Strategy != optimize.StrategyPruned {
-		t.Fatalf("per-request strategy lost to the client default: echoed %q", resp.Search.Strategy)
-	}
-
-	batch, err := client.RecommendBatch(ctx, []RecommendationRequest{caseStudyWire()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Succeeded != 1 || batch.Results[0].Recommendation.Search.Strategy != optimize.StrategyExhaustive {
-		t.Fatalf("batch item did not inherit the client default: %+v", batch.Results[0])
-	}
-}
-
 // TestSSEKeepAlivePings: a quiet stream carries ": ping" comment
 // frames on the configured cadence, and the terminal event still
 // arrives afterwards — pings must not corrupt the framing.
@@ -218,9 +181,9 @@ func TestClientStreamSurvivesPings(t *testing.T) {
 	defer func() { ts.Close(); srv.Close() }()
 
 	snap, err := srv.jobs.Submit("recommend", nil, func(ctx context.Context) (any, error) {
-		jobs.ReportProgress(ctx, 1, 8)
+		reportProgress(ctx, 1, 8)
 		time.Sleep(40 * time.Millisecond) // several pings land mid-stream
-		jobs.ReportProgress(ctx, 8, 8)
+		reportProgress(ctx, 8, 8)
 		return map[string]int{"best_option": 1}, nil
 	})
 	if err != nil {
@@ -241,3 +204,6 @@ func TestClientStreamSurvivesPings(t *testing.T) {
 		t.Fatal("progress callback never fired")
 	}
 }
+
+// reportProgress reports through the running job's context Trace.
+func reportProgress(ctx context.Context, done, total int64) { obs.TraceFrom(ctx).Progress(done, total) }

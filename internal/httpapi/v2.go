@@ -14,6 +14,7 @@ import (
 	"uptimebroker/internal/broker"
 	"uptimebroker/internal/jobs"
 	"uptimebroker/internal/jobstore"
+	"uptimebroker/internal/obs"
 )
 
 // Job kinds accepted by POST /v2/jobs.
@@ -152,8 +153,8 @@ func fromJob(snap jobs.Snapshot, withResult bool) JobDTO {
 // jobFn builds the executable work for one job kind. It is the
 // single mapping from persisted (kind, request) pairs to code, used
 // both by fresh submissions and by the recovery resolver re-queuing
-// journaled jobs after a restart. The returned Fn threads a search
-// progress hook from the enumeration loops into the job store.
+// journaled jobs after a restart. The job store's obs.Trace on the
+// Fn's context carries search progress and the resolved strategy.
 func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) {
 	breq := req.ToBroker()
 	var run func(ctx context.Context) (any, error)
@@ -163,7 +164,7 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 			// The job has no response headers, so the cache disposition
 			// travels inside the persisted result instead.
 			var cacheStatus string
-			ctx = broker.WithCacheReport(ctx, func(st string) { cacheStatus = st })
+			ctx = obs.WithTrace(ctx, obs.Trace{Cache: func(st string) { cacheStatus = st }})
 			rec, err := s.engine.Recommend(ctx, breq)
 			if err != nil {
 				return nil, err
@@ -187,13 +188,6 @@ func (s *Server) jobFn(kind string, req RecommendationRequest) (jobs.Fn, error) 
 		if err := req.validatePricing(); err != nil {
 			return nil, err
 		}
-		jobCtx := ctx
-		ctx = broker.WithSearchProgress(ctx, func(evaluated, spaceSize int64) {
-			jobs.ReportProgress(jobCtx, evaluated, spaceSize)
-		})
-		ctx = broker.WithStrategyReport(ctx, func(strategy string) {
-			jobs.ReportStrategy(jobCtx, strategy)
-		})
 		return run(ctx)
 	}, nil
 }

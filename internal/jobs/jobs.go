@@ -24,7 +24,8 @@
 // the ID sequence resumes past its high-water mark so IDs never
 // collide across restarts.
 //
-// Running jobs report enumeration progress through Progress;
+// Running jobs report enumeration progress and the resolved solver
+// through the obs.Trace on their Fn's context (Progress, SetStrategy);
 // Watch streams snapshot updates (state transitions and progress)
 // to subscribers, which is what the HTTP layer's Server-Sent Events
 // route consumes.
@@ -651,43 +652,6 @@ func (s *Store) worker() {
 	}
 }
 
-// jobIDKey carries the running job's ID in its Fn's context.
-type jobIDKey struct{}
-
-// IDFromContext returns the ID of the job whose Fn is running under
-// ctx, or "" outside a job. Fns use it to feed Progress.
-func IDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(jobIDKey{}).(string)
-	return id
-}
-
-// reporterKey carries the job's progress reporter in its Fn's context.
-type reporterKey struct{}
-
-// ReportProgress reports enumeration progress from inside a running
-// job's Fn — equivalent to Store.Progress with the job's own ID, but
-// without needing a reference to the store (recovered Fns are built
-// by the Resolver before the store finishes constructing). Outside a
-// job it is a no-op.
-func ReportProgress(ctx context.Context, evaluated, spaceSize int64) {
-	if report, ok := ctx.Value(reporterKey{}).(func(int64, int64)); ok {
-		report(evaluated, spaceSize)
-	}
-}
-
-// strategyReporterKey carries the job's strategy reporter in its Fn's
-// context.
-type strategyReporterKey struct{}
-
-// ReportStrategy records which solver strategy the job's search
-// resolved to, from inside a running job's Fn. Outside a job it is a
-// no-op.
-func ReportStrategy(ctx context.Context, strategy string) {
-	if report, ok := ctx.Value(strategyReporterKey{}).(func(string)); ok {
-		report(strategy)
-	}
-}
-
 // runOne executes a single queued job end to end.
 func (s *Store) runOne(id string) {
 	s.mu.Lock()
@@ -700,12 +664,12 @@ func (s *Store) runOne(id string) {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	ctx = context.WithValue(ctx, jobIDKey{}, id)
-	ctx = context.WithValue(ctx, reporterKey{}, func(evaluated, spaceSize int64) {
-		s.Progress(id, evaluated, spaceSize)
-	})
-	ctx = context.WithValue(ctx, strategyReporterKey{}, func(strategy string) {
-		s.SetStrategy(id, strategy)
+	// The Fn's search reports into this job's snapshot through the
+	// context Trace, so Fns need no reference to the store (recovered
+	// Fns are built before the store finishes constructing).
+	ctx = obs.WithTrace(ctx, obs.Trace{
+		Progress: func(done, total int64) { s.Progress(id, done, total) },
+		Strategy: func(strategy string) { s.SetStrategy(id, strategy) },
 	})
 	j.cancel = cancel
 	j.snap.State = StateRunning

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"uptimebroker/internal/jobstore"
+	"uptimebroker/internal/obs"
 )
 
 // echoResolver rebuilds recovered jobs as functions returning their
@@ -273,9 +274,8 @@ func TestWatchStreamsTransitionsAndProgress(t *testing.T) {
 
 	release := make(chan struct{})
 	snap, err := s.Submit("recommend", nil, func(ctx context.Context) (any, error) {
-		id := IDFromContext(ctx)
-		s.Progress(id, 50, 200)
-		s.Progress(id, 200, 200)
+		reportProgress(ctx, 50, 200)
+		reportProgress(ctx, 200, 200)
 		<-release
 		return "finished", nil
 	})
@@ -354,9 +354,8 @@ func TestProgressMonotonic(t *testing.T) {
 	checked := make(chan struct{})
 	release := make(chan struct{})
 	snap, err := s.Submit("recommend", nil, func(ctx context.Context) (any, error) {
-		id := IDFromContext(ctx)
-		s.Progress(id, 150, 200)
-		s.Progress(id, 40, 200) // a second enumeration phase restarting: ignored
+		reportProgress(ctx, 150, 200)
+		reportProgress(ctx, 40, 200) // a second enumeration phase restarting: ignored
 		close(checked)
 		<-release
 		return nil, nil
@@ -483,3 +482,6 @@ func TestCompactionKeepsRecoverableState(t *testing.T) {
 		}
 	}
 }
+
+// reportProgress reports through the running job's context Trace.
+func reportProgress(ctx context.Context, done, total int64) { obs.TraceFrom(ctx).Progress(done, total) }

@@ -10,6 +10,7 @@ import (
 
 	"uptimebroker/internal/availability"
 	"uptimebroker/internal/cost"
+	"uptimebroker/internal/obs"
 )
 
 // randomWideProblem is randomProblem stretched to the widths the
@@ -275,13 +276,15 @@ func TestAnytimeProgressAndStrategyHooks(t *testing.T) {
 	for _, strat := range []string{StrategyBeam, StrategyLDS, StrategyBounded} {
 		var reports int
 		var heard string
-		ctx := WithProgress(context.Background(), func(evaluated, space int64) {
-			reports++
-			if space != int64(p.SpaceSize()) {
-				t.Fatalf("%s: progress space %d, want %d", strat, space, p.SpaceSize())
-			}
+		ctx := traced(obs.Trace{
+			Progress: func(evaluated, space int64) {
+				reports++
+				if space != int64(p.SpaceSize()) {
+					t.Fatalf("%s: progress space %d, want %d", strat, space, p.SpaceSize())
+				}
+			},
+			Strategy: func(s string) { heard = s },
 		})
-		ctx = WithStrategyReport(ctx, func(s string) { heard = s })
 		if _, err := SolveConfig(ctx, p, SolverConfig{Strategy: strat}); err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}

@@ -440,7 +440,7 @@ func (p *Problem) Exhaustive() (Result, error) {
 
 // ExhaustiveContext is Exhaustive with cooperative cancellation:
 // the enumeration aborts with ctx.Err() shortly after ctx is done.
-// A WithProgress hook on the context receives periodic
+// The context Trace's Progress hook receives periodic
 // evaluated/space reports.
 //
 // The enumeration runs on the compiled incremental evaluator —

@@ -3,6 +3,8 @@ package optimize
 import (
 	"context"
 	"testing"
+
+	"uptimebroker/internal/obs"
 )
 
 // progressProblem builds an instance big enough to cross the report
@@ -20,10 +22,10 @@ func TestStreamContextReportsProgress(t *testing.T) {
 	p := progressProblem(t)
 	var reports []int64
 	var lastSpace int64
-	ctx := WithProgress(context.Background(), func(evaluated, space int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, space int64) {
 		reports = append(reports, evaluated)
 		lastSpace = space
-	})
+	}})
 	if _, err := streamCandidates(ctx, p); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +48,9 @@ func TestStreamContextReportsProgress(t *testing.T) {
 func TestPrunedContextProgressCoversSpace(t *testing.T) {
 	p := progressProblem(t)
 	var final, space int64
-	ctx := WithProgress(context.Background(), func(evaluated, sp int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, sp int64) {
 		final, space = evaluated, sp
-	})
+	}})
 	res, err := p.PrunedContext(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -71,3 +73,6 @@ func TestNoHookNoReports(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// traced returns a background context carrying t.
+func traced(t obs.Trace) context.Context { return obs.WithTrace(context.Background(), t) }

@@ -22,8 +22,8 @@ func (p *Problem) Pruned() (Result, error) {
 }
 
 // PrunedContext is Pruned with cooperative cancellation: the level
-// walk aborts with ctx.Err() shortly after ctx is done. A
-// WithProgress hook on the context receives periodic reports; clipped
+// walk aborts with ctx.Err() shortly after ctx is done. The context
+// Trace's Progress hook receives periodic reports; clipped
 // candidates count toward progress (they are resolved work), so the
 // bar approaches the full space even when pruning bites.
 //
@@ -186,8 +186,8 @@ func (p *Problem) BranchAndBound() (Result, error) {
 
 // BranchAndBoundContext is BranchAndBound with the same cooperative
 // cancellation and progress reporting as the other searches: the walk
-// aborts with ctx.Err() shortly after ctx is done, and a WithProgress
-// hook on the context sees clipped subtrees counted as resolved work.
+// aborts with ctx.Err() shortly after ctx is done, and the context
+// Trace's Progress hook sees clipped subtrees counted as resolved work.
 //
 // The clip rule preserves both orderings, so the result matches the
 // other solvers on Best *and* BestNoPenalty. A subtree is clipped only

@@ -67,8 +67,8 @@ func ApproximateStrategy(name string) bool {
 
 // Strategies returns the strategy names, sorted. The set is closed:
 // SolveConfig runs each name through one switch, and every strategy
-// uniformly supports context cancellation, WithProgress hooks and
-// WithStrategyReport hooks. The exact strategies return identical
+// uniformly supports context cancellation and the context Trace's
+// Progress and Strategy hooks. The exact strategies return identical
 // Best/BestNoPenalty for the same problem (a property the equivalence
 // tests enforce on randomized instances); the approximate lane's
 // strategies (see ApproximateStrategy) instead certify how far their
@@ -114,8 +114,8 @@ func ResolveConfig(p *Problem, cfg SolverConfig) (string, error) {
 }
 
 // Solve runs the named strategy ("" or "auto" lets the heuristic
-// pick) and stamps the result with the concrete strategy that ran. A
-// WithStrategyReport hook on the context hears the resolved name
+// pick) and stamps the result with the concrete strategy that ran.
+// The context Trace's Strategy hook hears the resolved name
 // before the enumeration starts, which is how the async job surface
 // echoes the choice into live progress.
 func Solve(ctx context.Context, p *Problem, strategy string) (Result, error) {

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"uptimebroker/internal/obs"
 )
 
 func TestStrategiesRegistered(t *testing.T) {
@@ -296,9 +298,9 @@ func TestAutoPicksByShape(t *testing.T) {
 
 func TestSolveReportsResolvedStrategy(t *testing.T) {
 	var reported []string
-	ctx := WithStrategyReport(context.Background(), func(s string) {
+	ctx := traced(obs.Trace{Strategy: func(s string) {
 		reported = append(reported, s)
-	})
+	}})
 	res, err := Solve(ctx, sampleProblem(), StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +325,10 @@ func TestBranchAndBoundReportsProgress(t *testing.T) {
 	p := bigProblem(10)
 	var last, space int64
 	calls := 0
-	ctx := WithProgress(context.Background(), func(evaluated, spaceSize int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, spaceSize int64) {
 		calls++
 		last, space = evaluated, spaceSize
-	})
+	}})
 	res, err := p.BranchAndBoundContext(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +358,7 @@ func TestParallelPrunedReportsProgress(t *testing.T) {
 	var calls int
 	var mu = make(chan struct{}, 1)
 	var last, space int64
-	ctx := WithProgress(context.Background(), func(evaluated, spaceSize int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, spaceSize int64) {
 		mu <- struct{}{}
 		calls++
 		if evaluated > last {
@@ -364,7 +366,7 @@ func TestParallelPrunedReportsProgress(t *testing.T) {
 		}
 		space = spaceSize
 		<-mu
-	})
+	}})
 	res, err := p.ParallelPrunedContext(ctx, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,8 @@ import (
 // The enumeration runs on the compiled incremental evaluator: zero
 // heap allocations per step in steady state, with values
 // bit-identical to Problem.Evaluate. The enumeration aborts with
-// ctx.Err() shortly after ctx is done, a WithProgress hook on the
-// context receives periodic evaluated/space reports, and an error from
+// ctx.Err() shortly after ctx is done, the context Trace's Progress
+// hook receives periodic evaluated/space reports, and an error from
 // visit aborts the stream and is returned verbatim.
 func (p *Problem) StreamContext(ctx context.Context, visit func(*Cursor) error) error {
 	ev, err := NewEvaluator(p)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"uptimebroker/internal/obs"
 )
 
 // equalCandidates reports whether two fully priced candidates are
@@ -172,14 +174,14 @@ func TestParallelStreamProgressMonotonic(t *testing.T) {
 	p := bigProblem(13)
 	var mu sync.Mutex
 	var reports []int64
-	ctx := WithProgress(context.Background(), func(evaluated, spaceSize int64) {
+	ctx := traced(obs.Trace{Progress: func(evaluated, spaceSize int64) {
 		mu.Lock()
 		defer mu.Unlock()
 		reports = append(reports, evaluated)
 		if spaceSize != int64(p.SpaceSize()) {
 			t.Errorf("spaceSize = %d, want %d", spaceSize, p.SpaceSize())
 		}
-	})
+	}})
 	if _, err := parallelStreamCandidates(ctx, p, 4); err != nil {
 		t.Fatal(err)
 	}

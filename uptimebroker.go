@@ -64,6 +64,7 @@ import (
 	"uptimebroker/internal/jobs"
 	"uptimebroker/internal/jobstore"
 	"uptimebroker/internal/lifecycle"
+	"uptimebroker/internal/obs"
 	"uptimebroker/internal/optimize"
 	"uptimebroker/internal/reccache"
 	"uptimebroker/internal/report"
@@ -103,7 +104,7 @@ type (
 
 	// Engine is the brokerage core.
 	Engine = broker.Engine
-	// EngineOption customizes NewEngine (default solver strategy).
+	// EngineOption customizes NewEngine (result cache).
 	EngineOption = broker.EngineOption
 	// Request is a brokerage request.
 	Request = broker.Request
@@ -265,12 +266,11 @@ const (
 	ProviderStratus      = catalog.ProviderStratus
 )
 
-// Solver strategy names, selectable per request (Request.Solver /
-// the wire "solver" object, or the deprecated flat "strategy" field),
-// per engine (WithDefaultStrategy), per client (WithStrategy /
-// WithSolverConfig) and per uptimectl invocation (-strategy). The
-// first four are exact — they differ only in latency and effort
-// statistics. Beam, LDS and Bounded are the anytime lane: they honor
+// Solver strategy names, selected by each request (Request.Solver /
+// the wire "solver" object, or the deprecated flat "strategy" field;
+// uptimectl's -strategy flag sets it); a request that names none runs
+// auto. The first four are exact — they differ only in latency and
+// effort statistics. Beam, LDS and Bounded are the anytime lane: they honor
 // wall-clock and evaluation budgets and certify the optimality gap of
 // what they return (SearchStats.Bound/Gap/Optimal).
 const (
@@ -292,12 +292,6 @@ func Strategies() []string { return optimize.Strategies() }
 // evaluation: its cursors price candidates in amortized O(1) per
 // enumeration step with values bit-identical to Problem.Evaluate.
 func NewEvaluator(p *Problem) (*Evaluator, error) { return optimize.NewEvaluator(p) }
-
-// WithDefaultStrategy sets the engine-wide solver strategy for
-// requests that do not name one (built-in default: auto).
-func WithDefaultStrategy(strategy string) EngineOption {
-	return broker.WithDefaultStrategy(strategy)
-}
 
 // WithResultCache fronts the engine with a content-addressed
 // recommendation cache: completed Recommend and Pareto answers are
@@ -324,7 +318,7 @@ func NewResultCache(cfg CacheConfig) *ResultCache {
 // layer uses it to stamp the X-Cache response header; callers without
 // a cached engine simply never hear from fn.
 func WithCacheReport(ctx context.Context, fn func(status string)) context.Context {
-	return broker.WithCacheReport(ctx, fn)
+	return obs.WithTrace(ctx, obs.Trace{Cache: fn})
 }
 
 // Dollars converts a dollar amount to Money.
@@ -336,8 +330,7 @@ func Dollars(d float64) Money { return cost.Dollars(d) }
 func DefaultCatalog() *Catalog { return catalog.Default() }
 
 // NewEngine builds a brokerage engine over a catalog and parameter
-// source; options set engine-wide defaults such as the solver
-// strategy.
+// source; options such as WithResultCache customize it.
 func NewEngine(cat *Catalog, params ParamSource, opts ...EngineOption) (*Engine, error) {
 	return broker.New(cat, params, opts...)
 }
@@ -437,24 +430,6 @@ func WithRetryBackoff(d time.Duration) ClientOption { return httpapi.WithRetryBa
 
 // WithPollInterval sets WaitJob's initial poll interval.
 func WithPollInterval(d time.Duration) ClientOption { return httpapi.WithPollInterval(d) }
-
-// WithStrategy stamps a default solver strategy onto every outgoing
-// recommendation-type request that makes no solver choice of its own;
-// it composes with WithSolverConfig and WithBudget.
-func WithStrategy(strategy string) ClientOption { return httpapi.WithStrategy(strategy) }
-
-// WithSolverConfig stamps a default nested solver spec — strategy,
-// budget and anytime knobs — onto every outgoing recommendation-type
-// request that makes no solver choice of its own.
-func WithSolverConfig(cfg SolverConfigDTO) ClientOption { return httpapi.WithSolverConfig(cfg) }
-
-// WithBudget stamps a default anytime budget (wall-clock cap and/or
-// evaluation cap, zero meaning unlimited) onto every outgoing
-// recommendation-type request that makes no solver choice of its own;
-// it composes with WithStrategy and WithSolverConfig.
-func WithBudget(wall time.Duration, maxEvaluations int64) ClientOption {
-	return httpapi.WithBudget(wall, maxEvaluations)
-}
 
 // WithProgress makes one Client.WaitJob call stream live progress
 // (state transitions plus evaluated/space_size from the enumeration)
